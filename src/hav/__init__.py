@@ -19,13 +19,12 @@ from .minsky import (
 from .model import (
     AtomicConstraint, AutomatonClass, ClassReport, Configuration,
     HybridAutomaton, JumpPredicate, Predicate, RateAffine, RateConst,
-    RateInterval, Transition, Valuation, classify, eval_predicate,
-    is_initialized, max_constant,
+    RateInterval, Transition, Valuation, classify, is_initialized, max_constant,
 )
 from .rational import Rational, format_rational, parse_rational, sqrt_rational
 from .reductions import ScaleCertificate, multirate_to_timed, rect_to_multirate
 from .regions import (
-    Region, RegionGraph, region_count_bound, region_equiv, region_graph,
+    Region, RegionGraph, region_count_bound, region_graph,
     region_of, time_successor,
 )
 from .semantics import (

@@ -131,55 +131,66 @@ def _formula_key(f: LtlFormula):
     return str(f)
 
 
-def _expand(node: _Node, nodes: list[_Node], counter) -> None:
-    while True:
-        if not node.new:
-            for nd in nodes:
-                if nd.old == node.old and nd.next == node.next:
-                    nd.incoming |= node.incoming
-                    return
-            nodes.append(node)
-            succ = _Node(next(counter), {node.nid}, set(node.next), set(), set())
-            _expand(succ, nodes, counter)
-            return
-        eta = min(node.new, key=_formula_key)
-        node.new.discard(eta)
-        if isinstance(eta, FalseConst):
-            return  # inconsistent branch
-        if isinstance(eta, TrueConst):
-            node.old.add(eta)  # recorded: Until acceptance asks whether ψ was processed
-            continue
-        if isinstance(eta, (Prop, Not)):
-            contradiction = Not(eta) if isinstance(eta, Prop) else eta.operand
-            if contradiction in node.old:
-                return
+def _expand(root: _Node, nodes: list[_Node], counter) -> None:
+    """Expand `root` and every node it spawns, depth first.
+
+    A split expands its new branch before the rest of the node, which waits
+    on an explicit stack instead of the call stack, so a deep tableau cannot
+    exhaust Python's recursion limit.
+    """
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        while True:
+            if not node.new:
+                merged = next((nd for nd in nodes
+                               if nd.old == node.old and nd.next == node.next), None)
+                if merged is not None:
+                    merged.incoming |= node.incoming
+                    break
+                nodes.append(node)
+                node = _Node(next(counter), {node.nid}, set(node.next), set(), set())
+                continue
+            eta = min(node.new, key=_formula_key)
+            node.new.discard(eta)
+            if isinstance(eta, FalseConst):
+                break  # inconsistent branch
+            if isinstance(eta, TrueConst):
+                node.old.add(eta)  # recorded: Until acceptance asks whether ψ was processed
+                continue
+            if isinstance(eta, (Prop, Not)):
+                contradiction = Not(eta) if isinstance(eta, Prop) else eta.operand
+                if contradiction in node.old:
+                    break
+                node.old.add(eta)
+                continue
+            if isinstance(eta, And):
+                node.old.add(eta)
+                for part in (eta.left, eta.right):
+                    if part not in node.old:
+                        node.new.add(part)
+                continue
+            if isinstance(eta, Next):
+                node.old.add(eta)
+                node.next.add(eta.operand)
+                continue
+            # splitting connectives: Or, Until, Release
+            if isinstance(eta, Or):
+                new1, next1, new2 = {eta.left}, set(), {eta.right}
+            elif isinstance(eta, Until):
+                new1, next1, new2 = {eta.left}, {eta}, {eta.right}
+            else:
+                assert isinstance(eta, Release)
+                new1, next1, new2 = {eta.right}, {eta}, {eta.left, eta.right}
+            branch = _Node(next(counter), set(node.incoming),
+                           node.new | (new1 - node.old),
+                           node.old | {eta}, node.next | next1)
+            # the branch shares no set with the node, so the node's own
+            # update can come first; it resumes once the branch is done
             node.old.add(eta)
-            continue
-        if isinstance(eta, And):
-            node.old.add(eta)
-            for part in (eta.left, eta.right):
-                if part not in node.old:
-                    node.new.add(part)
-            continue
-        if isinstance(eta, Next):
-            node.old.add(eta)
-            node.next.add(eta.operand)
-            continue
-        # splitting connectives: Or, Until, Release
-        if isinstance(eta, Or):
-            new1, next1, new2 = {eta.left}, set(), {eta.right}
-        elif isinstance(eta, Until):
-            new1, next1, new2 = {eta.left}, {eta}, {eta.right}
-        else:
-            assert isinstance(eta, Release)
-            new1, next1, new2 = {eta.right}, {eta}, {eta.left, eta.right}
-        branch = _Node(next(counter), set(node.incoming),
-                       node.new | (new1 - node.old),
-                       node.old | {eta}, node.next | next1)
-        _expand(branch, nodes, counter)
-        node.old.add(eta)
-        node.new |= new2 - node.old
-        continue
+            node.new |= new2 - node.old
+            pending.append(node)
+            node = branch
 
 
 def _node_guard(old: set) -> PropGuard:

@@ -148,14 +148,6 @@ class Predicate:
         return " && ".join(str(a) for a in self.conjuncts)
 
 
-def eval_predicate(pred: Predicate, v: Mapping[str, Fraction]) -> bool:
-    """Exact truth of a conjunction under a valuation.
-
-    Unknown variables raise UnknownVariable (via the valuation lookup).
-    """
-    return pred.holds(v)
-
-
 @dataclass(frozen=True)
 class JumpPredicate:
     """Constant assignments x' = c; unassigned variables keep their value."""
@@ -279,11 +271,13 @@ class HybridAutomaton:
             raise ValueError(f"automaton {self.name!r} has no initial mode")
         if not self.initial_modes <= modeset:
             raise ValueError("initial modes must be declared modes")
+        self._edges: dict[ModeId, list[Transition]] = {}
         for t in self.transitions:
             if t.source not in modeset or t.target not in modeset:
                 raise ValueError(f"transition endpoint not a declared mode: {t}")
             self._check_vars(t.guard.variables(), f"guard of {t}")
             self._check_vars(t.jump.reset, f"jump of {t}")
+            self._edges.setdefault(t.source, []).append(t)
         for mode in self.modes:
             self.invariants.setdefault(mode, Predicate.true())
             self._check_vars(self.invariants[mode].variables(), f"invariant of {mode_text(mode)}")
@@ -316,7 +310,8 @@ class HybridAutomaton:
         return self.invariants[mode]
 
     def edges_from(self, mode: ModeId) -> list[Transition]:
-        return [t for t in self.transitions if t.source == mode]
+        """The transitions leaving `mode`, in declaration order (a fresh list)."""
+        return list(self._edges.get(mode, ()))
 
     def initial_valuation(self) -> Valuation:
         """The unique valuation pinned by V0 equalities; unpinned variables are 0."""

@@ -108,10 +108,6 @@ def region_of(valuation: Mapping[str, Fraction], k: int) -> Region:
     return Region(k, tuple(ipart), frozenset(zero), order, frozenset(above))
 
 
-def region_equiv(v1: Mapping[str, Fraction], v2: Mapping[str, Fraction], k: int) -> bool:
-    return region_of(v1, k) == region_of(v2, k)
-
-
 def time_successor(region: Region) -> Region:
     """The immediate successor region under time elapse (fixpoint when all > k)."""
     bounded = dict(region.ipart)
@@ -210,8 +206,19 @@ def region_graph(a: HybridAutomaton, labeling: Optional[dict] = None,
 
     One Kripke transition per (delay*, edge) pair: from (m, r), each region
     r' on r's invariant-respecting time-successor chain may fire each edge
-    enabled at r'. Deadlock states get a reserved stutter self-loop so every
-    state has an infinite trace.
+    enabled at r'. Every region on that chain is interned as a state too.
+    Deadlock states get a reserved stutter self-loop so every state has an
+    infinite trace.
+
+    Successors and firing lists are memoised per region. Each distinct
+    region is built once (and validated then, like every Region), gets a
+    small id, and has its time successor computed once per id. Each state,
+    a (mode, region id) pair, checks its invariant, guards, resets and
+    target invariants once, the first time a walk reaches it, and keeps the
+    edges it fires and the next state on its chain; later walks replay
+    those lists. The first walk interns in chain order (each landed state,
+    then the chain region), so state ids and the order of transitions are
+    those of walking every chain afresh.
     """
     report = classify(a)
     if report.klass != AutomatonClass.TIMED:
@@ -230,47 +237,105 @@ def region_graph(a: HybridAutomaton, labeling: Optional[dict] = None,
         raise ValueError(f"k={kk} is below the automaton's maximum constant")
     labels = labeling if labeling is not None else a.labels
 
-    mode_order = {m: i for i, m in enumerate(a.modes)}
-    start_region = zero_region(a.variables, kk)
+    # regions by id; successor[i] is the id of regions[i]'s time successor
+    # (-1 until first asked for), equal to i at the all-above fixpoint
+    region_ids: dict[Region, int] = {}
+    regions: list[Region] = []
+    successor: list[int] = []
+
+    def region_id(region: Region) -> int:
+        got = region_ids.get(region)
+        if got is None:
+            got = len(regions)
+            region_ids[region] = got
+            regions.append(region)
+            successor.append(-1)
+        return got
+
+    # states by id, keyed by (mode, region id); per state, `fired` holds the
+    # (edge index, target state) pairs its region fires and `later` the state
+    # of the next region on its chain (-1 where the chain ends); None until
+    # a walk first passes the state
     ids: dict[tuple, int] = {}
+    keys: list[tuple] = []
     info: list[tuple[object, Region]] = []
+    fired: list[Optional[list[tuple[int, int]]]] = []
+    later: list[Optional[int]] = []
     queue: deque = deque()
 
-    def intern(mode, region: Region) -> int:
-        key = (mode, region)
+    def intern(mode, rid: int) -> int:
+        key = (mode, rid)
         got = ids.get(key)
         if got is None:
             got = len(info)
             ids[key] = got
-            info.append((mode, region))
-            queue.append(key)
+            keys.append(key)
+            info.append((mode, regions[rid]))
+            fired.append(None)
+            later.append(None)
+            queue.append(got)
         return got
 
+    edge_index = {t: i for i, t in enumerate(a.transitions)}
+    outgoing = {m: [(edge_index[t], t) for t in a.edges_from(m)] for m in a.modes}
+
+    def fire(mode, rid: int) -> Optional[list[tuple[int, int]]]:
+        """None if the region breaks the mode's invariant; else intern the
+        landed state of each enabled edge, in order, and list them."""
+        region = regions[rid]
+        if not region_satisfies(region, a.invariant(mode)):
+            return None
+        out = []
+        for ei, edge in outgoing[mode]:
+            if not region_satisfies(region, edge.guard):
+                continue
+            landed = reset_region(region, edge.jump.reset)
+            if region_satisfies(landed, a.invariant(edge.target)):
+                out.append((ei, intern(edge.target, region_id(landed))))
+        return out
+
+    def step(state: int) -> int:
+        """The state of the next region on `state`'s chain, or -1."""
+        mode, rid = keys[state]
+        nxt = successor[rid]
+        if nxt < 0:
+            nxt = successor[rid] = region_id(time_successor(regions[rid]))
+        if nxt == rid:
+            following = -1
+        else:
+            following = ids.get((mode, nxt))
+            if following is None or fired[following] is None:
+                fires = fire(mode, nxt)
+                if fires is None:
+                    following = -1
+                else:
+                    following = intern(mode, nxt)
+                    fired[following] = fires
+        later[state] = following
+        return following
+
+    mode_order = {m: i for i, m in enumerate(a.modes)}
+    start = region_id(zero_region(a.variables, kk))
     initial_states = []
     for m in sorted(a.initial_modes, key=lambda m: mode_order[m]):
-        if region_satisfies(start_region, a.invariant(m)):
-            initial_states.append(intern(m, start_region))
+        if region_satisfies(regions[start], a.invariant(m)):
+            initial_states.append(intern(m, start))
     if not initial_states:
         raise WrongClass("no initial state satisfies its mode invariant")
 
+    # A walk from src fires every edge from every region on src's chain. The
+    # first walk through a state interns each landed state, then the state
+    # itself, in chain order; later walks replay the memoised lists.
     transitions: dict[tuple[int, int, int], None] = {}
-    edge_index = {t: i for i, t in enumerate(a.transitions)}
     while queue:
-        mode, region = queue.popleft()
-        src = ids[(mode, region)]
-        inv = a.invariant(mode)
-        for r in time_successor_chain(region):
-            if not region_satisfies(r, inv):
-                break
-            for edge in a.edges_from(mode):
-                if not region_satisfies(r, edge.guard):
-                    continue
-                landed = reset_region(r, edge.jump.reset)
-                if not region_satisfies(landed, a.invariant(edge.target)):
-                    continue
-                dst = intern(edge.target, landed)
-                transitions[(src, edge_index[edge], dst)] = None
-            intern(mode, r)
+        src = state = queue.popleft()
+        if fired[src] is None:
+            fired[src] = fire(*keys[src])
+        while state >= 0:
+            for ei, dst in fired[state]:
+                transitions[(src, ei, dst)] = None
+            following = later[state]
+            state = step(state) if following is None else following
 
     ktransitions: list[KripkeTransition] = []
     edge_refs: list[Optional[Transition]] = []

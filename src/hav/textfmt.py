@@ -512,19 +512,54 @@ def print_model(doc: ModelDocument) -> str:
 
 _LTL_UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always}
 
+#: Deepest nesting `parse_ltl` accepts, in operators and parentheses around
+#: any point of the text and in operator levels of the syntax tree. At this
+#: depth `hav check` needs at most about 620 frames (100 parentheses, each
+#: six parser calls deep), which leaves room under Python's default
+#: recursion limit of 1000 for parsing, NNF, the tableau and printing.
+MAX_LTL_DEPTH = 100
+
+
+def _operator_depth(phi: LtlFormula) -> int:
+    """Operator levels of phi's syntax tree (0 for an atom), without recursion."""
+    deepest = 0
+    stack = [(phi, 0)]
+    while stack:
+        f, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(f, (And, Or, Implies, Until)):
+            stack += [(f.left, depth + 1), (f.right, depth + 1)]
+        elif isinstance(f, (Not, Next, Eventually, Always)):
+            stack.append((f.operand, depth + 1))
+    return deepest
+
 
 def parse_ltl(text: str, filename: str = "<formula>") -> LtlFormula:
     """Parse the LTL surface grammar.
 
     Precedence: unary (!, X, F, G) over U over && over || over ->;
     U and -> associate to the right. X, F, G, U are reserved words.
+    Nesting deeper than MAX_LTL_DEPTH is a ParseError.
     """
     p = _Parser(text, filename)
+    depth = 0
+
+    def too_deep(span: SourceSpan) -> ParseError:
+        return ParseError(f"formula nests deeper than {MAX_LTL_DEPTH} levels", span)
+
+    def nested(parse) -> LtlFormula:
+        nonlocal depth
+        if depth == MAX_LTL_DEPTH:
+            raise too_deep(p.peek().span)
+        depth += 1
+        node = parse()
+        depth -= 1
+        return node
 
     def parse_implies() -> LtlFormula:
         left = parse_or()
         if p.eat("->"):
-            return Implies(left, parse_implies())
+            return Implies(left, nested(parse_implies))
         return left
 
     def parse_or() -> LtlFormula:
@@ -542,19 +577,19 @@ def parse_ltl(text: str, filename: str = "<formula>") -> LtlFormula:
     def parse_until() -> LtlFormula:
         left = parse_unary()
         if p.eat("U"):
-            return Until(left, parse_until())
+            return Until(left, nested(parse_until))
         return left
 
     def parse_unary() -> LtlFormula:
         tok = p.peek()
         if tok.kind == "sym" and tok.text == "!":
             p.advance()
-            return Not(parse_unary())
+            return Not(nested(parse_unary))
         if tok.kind == "ident" and tok.text in ("X", "F", "G"):
             p.advance()
-            return _LTL_UNARY[tok.text](parse_unary())
+            return _LTL_UNARY[tok.text](nested(parse_unary))
         if p.eat("("):
-            node = parse_implies()
+            node = nested(parse_implies)
             p.expect(")")
             return node
         if tok.kind == "ident":
@@ -569,10 +604,14 @@ def parse_ltl(text: str, filename: str = "<formula>") -> LtlFormula:
         raise ParseError(f"expected a formula, found {_shown(tok)}",
                          tok.span)
 
+    first = p.peek()
     node = parse_implies()
     tail = p.peek()
     if tail.kind != "eof":
         raise ParseError(f"unexpected trailing input {tail.text!r}", tail.span)
+    # && and || chains nest to the left in a loop, so only the tree shows it
+    if _operator_depth(node) > MAX_LTL_DEPTH:
+        raise too_deep(first.span)
     return node
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from pathlib import Path
 
-from hav.kripke import FiniteKripke, make_kripke
+from hav.kripke import STUTTER_ACTION, FiniteKripke, make_kripke
 from hav.ltl import (
     Always, And, Eventually, FalseConst, Implies, Lasso, Next, Not, Or, Prop,
     TrueConst, Until, eval_lasso,
@@ -20,6 +21,10 @@ from hav.ltl import (
 from hav.model import (
     AtomicConstraint, HybridAutomaton, JumpPredicate, Predicate, RateConst,
     Transition,
+)
+from hav.regions import (
+    region_count_bound, region_satisfies, reset_region, time_successor_chain,
+    zero_region,
 )
 from hav.textfmt import ModelDocument, parse_model
 
@@ -141,6 +146,59 @@ def random_multirate_automaton(rng: random.Random) -> HybridAutomaton:
         flows=flows,
         init=Predicate(tuple(AtomicConstraint(v, "=", 0) for v in sorted(variables))),
     )
+
+
+# ------------------------------------------------------- region graph oracle
+
+def reference_region_graph(a: HybridAutomaton, k: int) -> dict:
+    """The region graph by plain chain walking, with nothing memoised.
+
+    From each state (m, r), walk r's whole time-successor chain while m's
+    invariant holds; at each chain region fire every edge of m whose guard
+    holds and whose landed region meets the target's invariant, interning
+    the landed state, then intern the chain region itself. Returns the
+    parts of `region_graph`'s result that must come out identical.
+    """
+    ids: dict = {}
+    info: list = []
+    queue: deque = deque()
+
+    def intern(mode, region) -> int:
+        if (mode, region) not in ids:
+            ids[(mode, region)] = len(info)
+            info.append((mode, region))
+            queue.append((mode, region))
+        return ids[(mode, region)]
+
+    start = zero_region(a.variables, k)
+    initial = [intern(m, start) for m in a.modes
+               if m in a.initial_modes and region_satisfies(start, a.invariant(m))]
+    edge_index = {t: i for i, t in enumerate(a.transitions)}
+    fired: dict = {}
+    while queue:
+        mode, region = queue.popleft()
+        src = ids[(mode, region)]
+        for r in time_successor_chain(region):
+            if not region_satisfies(r, a.invariant(mode)):
+                break
+            for edge in a.transitions:
+                if edge.source != mode or not region_satisfies(r, edge.guard):
+                    continue
+                landed = reset_region(r, edge.jump.reset)
+                if region_satisfies(landed, a.invariant(edge.target)):
+                    fired[(src, edge_index[edge], intern(edge.target, landed))] = None
+            intern(mode, r)
+
+    transitions = [(src, a.transitions[ei].action, dst) for src, ei, dst in fired]
+    edge_refs = [a.transitions[ei] for _, ei, _ in fired]
+    deadlocks = sorted(set(range(len(info))) - {src for src, _, _ in fired})
+    transitions += [(s, STUTTER_ACTION, s) for s in deadlocks]
+    edge_refs += [None] * len(deadlocks)
+    return {
+        "state_info": info, "initial": frozenset(initial), "transitions": transitions,
+        "edge_refs": edge_refs, "deadlocks": frozenset(deadlocks),
+        "bound": region_count_bound(len(a.modes), len(a.variables), k),
+    }
 
 
 # ---------------------------------------------------------------- SCC oracle

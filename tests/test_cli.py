@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from hav.cli import run_cli
+from hav.textfmt import MAX_LTL_DEPTH
 from conftest import MODELS
 
 LOGIN = str(MODELS / "login.hav")
@@ -48,6 +51,33 @@ def test_check_malformed_formula_exit_two(capsys):
     code, _, err = run(capsys, "check", LOGIN, "--formula", "F (")
     assert code == 2
     assert ":1:4" in err
+
+
+@pytest.mark.parametrize("formula", [
+    "(" * 250 + "connect" + ")" * 250,
+    "!" * 2000 + "connect",
+    "X " * 400 + "connect",
+    " && ".join(["connect"] * 400),
+], ids=["parentheses", "negations", "nexts", "conjunctions"])
+def test_check_too_deep_formula_exit_two(capsys, formula):
+    code, out, err = run(capsys, "check", LOGIN, "--formula", formula)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"deeper than {MAX_LTL_DEPTH} levels" in err
+
+
+@pytest.mark.parametrize("formula", [
+    "(" * MAX_LTL_DEPTH + "connect" + ")" * MAX_LTL_DEPTH,
+    "!" * MAX_LTL_DEPTH + "connect",
+    "X " * MAX_LTL_DEPTH + "connect",
+    " && ".join(["connect"] * (MAX_LTL_DEPTH + 1)),
+    " || ".join(["connect"] * (MAX_LTL_DEPTH + 1)),
+    " -> ".join(["connect"] * (MAX_LTL_DEPTH + 1)),
+], ids=["parentheses", "negations", "nexts", "conjunctions", "disjunctions",
+        "implications"])
+def test_check_formula_at_depth_limit_is_decided(capsys, formula):
+    code, out, _ = run(capsys, "check", LOGIN, "--formula", formula)
+    assert (code, out.split("\n")[0]) in ((0, "HOLDS"), (1, "VIOLATED"))
 
 
 def test_check_wrong_class_exit_three(capsys):

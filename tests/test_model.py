@@ -9,7 +9,7 @@ from hav.errors import UnknownVariable, WrongClass
 from hav.model import (
     AtomicConstraint, AutomatonClass, HybridAutomaton, JumpPredicate,
     Predicate, RateAffine, RateConst, RateInterval, Transition, Valuation,
-    classify, eval_predicate, is_initialized, max_constant,
+    classify, is_initialized, max_constant,
 )
 from helpers import load_model
 
@@ -20,24 +20,24 @@ def v(**kw):
 
 class TestEvalPredicate:
     def test_top_is_true_everywhere(self):
-        assert eval_predicate(Predicate.true(), v(x=1))
-        assert eval_predicate(Predicate.true(), v())
+        assert Predicate.true().holds(v(x=1))
+        assert Predicate.true().holds(v())
 
     def test_nonstrict_boundary(self):
         pred = Predicate.of(AtomicConstraint("x", "<=", 10))
-        assert eval_predicate(pred, v(x=10))
-        assert not eval_predicate(pred, v(x=Fraction(101, 10)))
+        assert pred.holds(v(x=10))
+        assert not pred.holds(v(x=Fraction(101, 10)))
 
     def test_diagonal_and_conjunction(self):
         pred = Predicate.of(AtomicConstraint("x", "=", 0, "y"),
                             AtomicConstraint("y", "=", 1))
-        assert eval_predicate(pred, v(x=1, y=1))
-        assert not eval_predicate(pred, v(x=2, y=1))
+        assert pred.holds(v(x=1, y=1))
+        assert not pred.holds(v(x=2, y=1))
 
     def test_unknown_variable(self):
         pred = Predicate.of(AtomicConstraint("z", "<", 1))
         with pytest.raises(UnknownVariable):
-            eval_predicate(pred, v(x=0))
+            pred.holds(v(x=0))
 
     def test_conjunction_is_atomwise(self):
         rng = random.Random(3)
@@ -45,7 +45,7 @@ class TestEvalPredicate:
             atoms = [AtomicConstraint("x", rng.choice(["<", "<=", "=", ">=", ">"]),
                                       rng.randint(-3, 3)) for _ in range(3)]
             val = v(x=Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
-            assert (eval_predicate(Predicate(tuple(atoms)), val)
+            assert (Predicate(tuple(atoms)).holds(val)
                     == all(a.holds(val) for a in atoms))
 
 

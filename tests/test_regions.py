@@ -9,13 +9,14 @@ from hav.errors import DiagonalUnsupported, NegativeClock, WrongClass
 from hav.kripke import STUTTER_ACTION
 from hav.model import (
     AtomicConstraint, HybridAutomaton, JumpPredicate, Predicate, Transition,
-    Valuation,
+    Valuation, max_constant,
 )
+from hav.compose import product
 from hav.regions import (
-    region_count_bound, region_equiv, region_graph, region_of, time_successor,
+    Region, region_count_bound, region_graph, region_of, time_successor,
     time_successor_chain, zero_region,
 )
-from helpers import load_model, random_timed_automaton
+from helpers import load_model, random_timed_automaton, reference_region_graph
 
 
 def val(**kw):
@@ -45,13 +46,13 @@ class TestRegionOf:
 
 class TestRegionEquiv:
     def test_same_order(self):
-        assert region_equiv(val(x=(1, 2), y=(7, 10)), val(x=(3, 5), y=(4, 5)), 1)
+        assert region_of(val(x=(1, 2), y=(7, 10)), 1) == region_of(val(x=(3, 5), y=(4, 5)), 1)
 
     def test_flipped_order(self):
-        assert not region_equiv(val(x=(1, 2), y=(7, 10)), val(x=(7, 10), y=(1, 2)), 1)
+        assert region_of(val(x=(1, 2), y=(7, 10)), 1) != region_of(val(x=(7, 10), y=(1, 2)), 1)
 
     def test_both_above(self):
-        assert region_equiv(val(x=2), val(x=100), 1)
+        assert region_of(val(x=2), 1) == region_of(val(x=100), 1)
 
     def test_equivalence_relation_random(self):
         rng = random.Random(71)
@@ -63,10 +64,20 @@ class TestRegionEquiv:
                 return val(**{c: (rng.randint(0, 4 * k), rng.randint(1, 4))
                               for c in clocks})
             x, y, z = rv(), rv(), rv()
-            assert region_equiv(x, x, k)
-            assert region_equiv(x, y, k) == region_equiv(y, x, k)
-            if region_equiv(x, y, k) and region_equiv(y, z, k):
-                assert region_equiv(x, z, k)
+            assert region_of(x, k) == region_of(x, k)
+            assert (region_of(x, k) == region_of(y, k)) == (region_of(y, k) == region_of(x, k))
+            if region_of(x, k) == region_of(y, k) and region_of(y, k) == region_of(z, k):
+                assert region_of(x, k) == region_of(z, k)
+
+
+class TestRegionValidation:
+    def test_zero_overlaps_order(self):
+        with pytest.raises(ValueError):
+            Region(1, (("x", 0),), frozenset({"x"}), (frozenset({"x"}),), frozenset())
+
+    def test_integer_part_above_k(self):
+        with pytest.raises(ValueError):
+            Region(1, (("x", 2),), frozenset({"x"}), (), frozenset())
 
 
 class TestTimeSuccessor:
@@ -169,7 +180,7 @@ class TestRegionGraph:
             v1 = Valuation({"x": base})
             v2_raw = base + off if (base + off).numerator // (base + off).denominator == base.numerator // base.denominator or base > k else base
             v2 = Valuation({"x": v2_raw})
-            if not region_equiv(v1, v2, k):
+            if region_of(v1, k) != region_of(v2, k):
                 continue
             delay = Fraction(rng.randint(0, 80), rng.randint(1, 3))
             moved1 = Valuation({"x": v1["x"] + delay})
@@ -177,7 +188,39 @@ class TestRegionGraph:
             # some matching delay exists for v2: target region is on v2's chain
             assert target in time_successor_chain(region_of(v2, k))
             for t in login.transitions:
-                assert t.guard.holds(v1) == t.guard.holds(v2) or not region_equiv(v1, v2, k)
+                assert (t.guard.holds(v1) == t.guard.holds(v2)
+                        or region_of(v1, k) != region_of(v2, k))
+
+
+class TestRegionGraphMatchesReference:
+    """region_graph against the chain walk in helpers, which memoises nothing:
+    same states in the same order, same transitions in the same order."""
+
+    @staticmethod
+    def assert_matches(a, k=None):
+        rg = region_graph(a, k=k)
+        ref = reference_region_graph(a, max_constant(a) if k is None else k)
+        assert rg.state_info == ref["state_info"]
+        assert rg.kripke.initial == ref["initial"]
+        assert [(t.source, t.action, t.target) for t in rg.kripke.transitions] \
+            == ref["transitions"]
+        assert rg.edge_refs == ref["edge_refs"]
+        assert rg.deadlocks == ref["deadlocks"]
+        assert rg.bound == ref["bound"]
+        return rg
+
+    def test_random_timed_automata(self):
+        rng = random.Random(76)
+        for _ in range(150):
+            self.assert_matches(random_timed_automaton(rng))
+
+    @pytest.mark.parametrize("k", [60, 120])
+    def test_login(self, k):
+        rg = self.assert_matches(load_model("login").automata[0], k)
+        assert rg.k == k
+
+    def test_jobshop_timed(self):
+        self.assert_matches(product(load_model("jobshop_timed").network("all")))
 
 
 def test_region_count_bound_values():
