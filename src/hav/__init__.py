@@ -6,7 +6,7 @@ quotients, the initialized rectangular/multi-rate reductions, and the
 two-counter-machine encoding as a stress oracle.
 """
 
-from .bisim import Partition, coarsest_quotient, is_bisimilar
+from .bisim import coarsest_quotient, is_bisimilar
 from .buchi import BuchiAutomaton, buchi_accepts_lasso, translate_to_buchi
 from .compose import Network, flatten_modes, product, reachable_modes, sync_set
 from .kripke import FiniteKripke, KripkeTransition, make_kripke

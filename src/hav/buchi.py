@@ -8,9 +8,11 @@ usual counter construction. Transition guards are kept symbolic as
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
+from .graph import strongly_connected_components
 from .ltl import (
     Always, And, Eventually, FalseConst, Lasso, LtlFormula, Next, Not, Or,
     Prop, Release, TrueConst, Until, propositions, to_nnf,
@@ -62,9 +64,6 @@ class BuchiAutomaton:
             self._adjacency[t.source].append((t.target, t.guard))
         for lst in self._adjacency.values():
             lst.sort(key=lambda e: (e[0], str(e[1])))
-
-    def successors(self, state: int) -> list[tuple[int, PropGuard]]:
-        return self._adjacency[state]
 
     def moves(self, state: int, letter: frozenset[str]) -> list[int]:
         return [t for t, g in self._adjacency[state] if g.matches(letter)]
@@ -136,18 +135,22 @@ def _expand(root: _Node, nodes: list[_Node], counter) -> None:
 
     A split expands its new branch before the rest of the node, which waits
     on an explicit stack instead of the call stack, so a deep tableau cannot
-    exhaust Python's recursion limit.
+    exhaust Python's recursion limit. A finished node whose `old` and `next`
+    match a kept node's merges into it; kept nodes are indexed by those two
+    sets, which never change once a node is kept.
     """
+    kept: dict[tuple[frozenset, frozenset], _Node] = {}
     pending = [root]
     while pending:
         node = pending.pop()
         while True:
             if not node.new:
-                merged = next((nd for nd in nodes
-                               if nd.old == node.old and nd.next == node.next), None)
+                key = (frozenset(node.old), frozenset(node.next))
+                merged = kept.get(key)
                 if merged is not None:
                     merged.incoming |= node.incoming
                     break
+                kept[key] = node
                 nodes.append(node)
                 node = _Node(next(counter), {node.nid}, set(node.next), set(), set())
                 continue
@@ -268,71 +271,20 @@ def buchi_accepts_lasso(automaton: BuchiAutomaton, sigma: Lasso) -> bool:
     reachable cycle through an accepting state.
     """
     start = [(0, q) for q in sorted(automaton.initial)]
-    succ_cache: dict[tuple[int, frozenset[str]], list[int]] = {}
+    moves = functools.cache(automaton.moves)
 
-    def succs(node: tuple[int, int]) -> list[tuple[int, int]]:
+    def succs(node: tuple[int, int]) -> list[tuple[tuple[int, int], None]]:
         pos, q = node
-        letter = sigma.letter(pos)
-        key = (q, letter)
-        moves = succ_cache.get(key)
-        if moves is None:
-            moves = automaton.moves(q, letter)
-            succ_cache[key] = moves
         nxt = sigma.successor(pos)
-        return [(nxt, q2) for q2 in moves]
+        return [((nxt, q2), None) for q2 in moves(q, sigma.letter(pos))]
 
-    for comp in _sccs(start, succs):
+    for comp in strongly_connected_components(start, succs):
         has_accepting = any(q in automaton.accepting for _, q in comp)
         if not has_accepting:
             continue
         if len(comp) > 1:
             return True
         node = next(iter(comp))
-        if node in succs(node):
+        if any(target == node for target, _ in succs(node)):
             return True
     return False
-
-
-def _sccs(roots, succs):
-    """Iterative Tarjan over the reachable part; yields each SCC as a set."""
-    index: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    counter = itertools.count()
-
-    for root in roots:
-        if root in index:
-            continue
-        work = [(root, iter(succs(root)))]
-        index[root] = lowlink[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for t in it:
-                if t not in index:
-                    index[t] = lowlink[t] = next(counter)
-                    stack.append(t)
-                    on_stack.add(t)
-                    work.append((t, iter(succs(t))))
-                    advanced = True
-                    break
-                elif t in on_stack:
-                    lowlink[node] = min(lowlink[node], index[t])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.add(member)
-                    if member == node:
-                        break
-                yield comp

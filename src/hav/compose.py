@@ -3,6 +3,7 @@
 Components synchronize on shared action names: an edge of the product on
 action a moves exactly the components whose alphabet contains a, all others
 stutter. Guards and jumps of the moving components are conjoined.
+`reachable_modes` searches the discrete edge graph with `hav.graph`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import FlowConflict, HavError, UnknownAction
+from .graph import explore
 from .model import (
     HybridAutomaton, JumpPredicate, Predicate, Transition, mode_text,
 )
@@ -149,18 +151,8 @@ def product(network: Network) -> HybridAutomaton:
 
 def reachable_modes(a: HybridAutomaton) -> frozenset:
     """Modes reachable over the discrete edge graph, guards ignored."""
-    edges: dict = {}
-    for t in a.transitions:
-        edges.setdefault(t.source, set()).add(t.target)
-    seen = set(a.initial_modes)
-    frontier = list(a.initial_modes)
-    while frontier:
-        mode = frontier.pop()
-        for nxt in edges.get(mode, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+    found = explore(a.initial_modes, lambda mode: ((t.target, t) for t in a.edges_from(mode)))
+    return frozenset(found.nodes)
 
 
 def flatten_modes(a: HybridAutomaton, separator: str = "__") -> HybridAutomaton:

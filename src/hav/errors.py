@@ -44,10 +44,6 @@ class NonConstantFlow(HavError):
     pass
 
 
-class NonConvexPredicate(HavError):
-    pass
-
-
 class GuardFailed(HavError):
     pass
 

@@ -2,18 +2,22 @@
 
 The synchronized product reads the Kripke label of the *source* state on
 every step; the translation's fresh initial Büchi state makes that cover the
-first letter as well. Violations come back as lassos over the product and are
+first letter as well. The product is explored on demand: nested DFS asks for
+a node's edges only when it reaches the node, and stops at the first
+accepting cycle. Violations come back as lassos over the product and are
 re-validated before they are reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Container, Optional
 
 from .buchi import BuchiAutomaton, translate_to_buchi
 from .errors import UnknownProposition
+from .graph import nested_dfs
 from .kripke import FiniteKripke
 from .ltl import Lasso, LtlFormula, Not, propositions
 from .model import HybridAutomaton, Valuation, mode_text
@@ -25,50 +29,50 @@ Node = tuple[int, int]  # (kripke state, büchi state)
 
 @dataclass
 class ProductGraph:
-    """Reachable part of K x A, edges tagged with the Kripke transition index."""
+    """K x A, edges tagged with the Kripke transition index.
+
+    `successors` calls `expand` once per node and keeps the result in
+    `adjacency`, which holds exactly the nodes expanded so far.
+    """
 
     initial: tuple[Node, ...]
-    accepting: frozenset[Node]
-    adjacency: dict
+    accepting: Container[Node]
+    expand: Callable[[Node], list[tuple[Node, int]]]
+    adjacency: dict = field(default_factory=dict)
 
     def successors(self, node: Node) -> list[tuple[Node, int]]:
-        return self.adjacency[node]
+        out = self.adjacency.get(node)
+        if out is None:
+            out = self.adjacency[node] = self.expand(node)
+        return out
+
+
+class _AcceptingNodes:
+    """The product nodes whose Büchi state accepts, tested without listing them."""
+
+    def __init__(self, states: frozenset[int]):
+        self.states = states
+
+    def __contains__(self, node: Node) -> bool:
+        return node[1] in self.states
 
 
 def synchronized_product(k: FiniteKripke, b: BuchiAutomaton) -> ProductGraph:
-    """States (s, q); a step requires a Büchi edge whose guard matches L(s)."""
-    moves_cache: dict[tuple[int, frozenset[str]], list[int]] = {}
+    """States (s, q); a step requires a Büchi edge whose guard matches L(s).
 
-    def moves(q: int, letter: frozenset[str]) -> list[int]:
-        key = (q, letter)
-        got = moves_cache.get(key)
-        if got is None:
-            got = b.moves(q, letter)
-            moves_cache[key] = got
-        return got
+    Nothing is explored here: each node's sorted `((t, q2), edge_index)`
+    list is built when a search first reaches the node.
+    """
+    moves = functools.cache(b.moves)
+
+    def expand(node: Node) -> list[tuple[Node, int]]:
+        s, q = node
+        q_moves = moves(q, k.labels[s])
+        return sorted(((t, q2), edge_index)
+                      for t, edge_index in k.successors(s) for q2 in q_moves)
 
     initial = tuple(sorted((s, q) for s in k.initial for q in b.initial))
-    adjacency: dict[Node, list[tuple[Node, int]]] = {}
-    stack = list(reversed(initial))
-    for node in initial:
-        adjacency.setdefault(node, [])
-    seen = set(initial)
-    while stack:
-        s, q = stack.pop()
-        letter = k.labels[s]
-        out = []
-        for t, edge_index in k.successors(s):
-            for q2 in moves(q, letter):
-                out.append(((t, q2), edge_index))
-        out.sort()
-        adjacency[(s, q)] = out
-        for node, _ in out:
-            if node not in seen:
-                seen.add(node)
-                adjacency.setdefault(node, [])
-                stack.append(node)
-    accepting = frozenset(n for n in adjacency if n[1] in b.accepting)
-    return ProductGraph(initial, accepting, adjacency)
+    return ProductGraph(initial, _AcceptingNodes(b.accepting), expand)
 
 
 @dataclass
@@ -82,73 +86,13 @@ class ProductLasso:
 
 
 def nested_dfs_emptiness(g: ProductGraph) -> Optional[ProductLasso]:
-    """None when no reachable accepting cycle exists, otherwise a validated lasso.
-
-    Two-phase nested depth-first search: the outer DFS schedules accepting
-    states in postorder, the inner DFS (with persistent marks) looks for a
-    cycle back to the seed.
-    """
-    visited1: set[Node] = set()
-    visited2: set[Node] = set()
-
-    def dfs2(seed: Node) -> Optional[tuple[list[Node], list[int]]]:
-        visited2.add(seed)
-        stack = [(seed, iter(g.successors(seed)))]
-        nodes = [seed]
-        edges: list[int] = []
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for target, edge_index in it:
-                if target == seed:
-                    return nodes[:], edges + [edge_index]
-                if target not in visited2:
-                    visited2.add(target)
-                    stack.append((target, iter(g.successors(target))))
-                    nodes.append(target)
-                    edges.append(edge_index)
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                nodes.pop()
-                if edges:
-                    edges.pop()
+    """None when no reachable accepting cycle exists, otherwise a validated lasso."""
+    found = nested_dfs(g.initial, g.successors, g.accepting.__contains__)
+    if found is None:
         return None
-
-    for root in g.initial:
-        if root in visited1:
-            continue
-        visited1.add(root)
-        stack = [(root, iter(g.successors(root)))]
-        path_nodes = [root]
-        path_edges: list[int] = []
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for target, edge_index in it:
-                if target not in visited1:
-                    visited1.add(target)
-                    stack.append((target, iter(g.successors(target))))
-                    path_nodes.append(target)
-                    path_edges.append(edge_index)
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            if node in g.accepting:
-                found = dfs2(node)
-                if found is not None:
-                    loop_nodes, loop_edges = found
-                    lasso = ProductLasso(path_nodes[:], path_edges[:],
-                                         loop_nodes, loop_edges)
-                    _validate_lasso(g, lasso)
-                    return lasso
-            stack.pop()
-            path_nodes.pop()
-            if path_edges:
-                path_edges.pop()
-    return None
+    lasso = ProductLasso(*found)
+    _validate_lasso(g, lasso)
+    return lasso
 
 
 def _validate_lasso(g: ProductGraph, lasso: ProductLasso) -> None:
@@ -237,8 +181,7 @@ def check_timed(a: HybridAutomaton, phi: LtlFormula,
     verdict = check(rg.kripke, phi)
     if verdict.holds:
         return verdict
-    cx = verdict.counterexample
-    lasso = cx.product
+    lasso = verdict.counterexample.product
     mode_names = {i: mode_text(mode) for i, (mode, _) in enumerate(rg.state_info)}
     cx = _project(rg.kripke, lasso, mode_names)
 

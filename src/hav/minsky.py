@@ -78,10 +78,6 @@ class MinskyMachine:
                 if not 0 <= t < len(self.instructions):
                     raise ValueError(f"instruction {i}: target {t} out of range")
 
-    @property
-    def halt_index(self) -> int:
-        return len(self.instructions) - 1
-
 
 @dataclass(frozen=True)
 class MinskyConfig:

@@ -190,9 +190,6 @@ class ScaleCertificate:
     rates: dict = field(default_factory=dict)    # (mode, var) -> Fraction
     edge_map: list = field(default_factory=list)  # original index -> new index | None
 
-    def concrete_value(self, mode, var, clock: Fraction) -> Fraction:
-        return self.entries[(mode, var)] + self.rates[(mode, var)] * Fraction(clock) / self.l_factor
-
     def timed_delays(self, delays) -> list[Fraction]:
         return [Fraction(d) * self.l_factor for d in delays]
 

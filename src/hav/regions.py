@@ -68,10 +68,6 @@ class Region:
                 return i
         return None
 
-    def sort_key(self):
-        return (self.ipart, tuple(sorted(self.zero)),
-                tuple(tuple(sorted(b)) for b in self.order), tuple(sorted(self.above)))
-
     def __str__(self) -> str:
         parts = []
         for name, i in self.ipart:

@@ -1,6 +1,9 @@
 """Exact concrete semantics: successors, simulation, bounded reachability,
 symbolic path feasibility, run-time analysis, and the bouncing-ball closed form.
 
+Bounded reachability and the configuration graph are one layered search of
+`hav.graph` over menu delays and enabled jumps.
+
 All delays and values are exact rationals. Invariants are convex conjunctions
 and flows are linear in time, so invariant checks at segment endpoints are
 sufficient.
@@ -8,7 +11,6 @@ sufficient.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -17,6 +19,7 @@ from .errors import (
     GuardFailed, HavError, InvariantViolated, NonConstantFlow,
     SimulationError, TargetInvariantFailed,
 )
+from .graph import Exploration, explore
 from .kripke import FiniteKripke, KripkeTransition
 from .linsolve import LinearSystem
 from .model import (
@@ -131,41 +134,38 @@ class ReachResult:
     exceeded: bool
 
 
-def _reach_successors(a: HybridAutomaton, c: Configuration,
-                      delay_menu: Iterable[Fraction]):
-    for d in delay_menu:
-        try:
-            yield None, timed_successor(c, d, a)
-        except (InvariantViolated, HavError):
-            continue
-    for edge in a.edges_from(c.mode):
-        try:
-            yield edge, discrete_successor(c, edge, a)
-        except (GuardFailed, TargetInvariantFailed):
-            continue
+def _explore(a: HybridAutomaton, delay_menu: Iterable[Fraction],
+             step_budget: int) -> Exploration:
+    """Layered search from the initial configurations over menu delays and
+    enabled jumps, `step_budget` layers deep."""
+    menu = sorted(Fraction(d) for d in delay_menu)
+    initial = sorted((initial_configuration(a, m) for m in a.initial_modes),
+                     key=lambda c: (mode_text(c.mode), sorted(c.valuation.items())))
+
+    def successors(c: Configuration):
+        for d in menu:
+            try:
+                yield timed_successor(c, d, a), "delay"
+            except (InvariantViolated, HavError):
+                continue
+        for edge in a.edges_from(c.mode):
+            try:
+                yield discrete_successor(c, edge, a), edge.action
+            except (GuardFailed, TargetInvariantFailed):
+                continue
+
+    return explore(initial, successors, step_budget)
 
 
 def bounded_reach(a: HybridAutomaton, step_budget: int,
                   delay_menu: Iterable[Fraction]) -> ReachResult:
-    """BFS closure over discrete edges and menu delays, capped by budget.
+    """Configurations within `step_budget` steps over discrete edges and menu delays.
 
     Requires constant rates. The exceeded flag is set when the frontier is
     still growing at the cap.
     """
-    menu = sorted(Fraction(d) for d in delay_menu)
-    frontier = {initial_configuration(a, m) for m in a.initial_modes}
-    visited = set(frontier)
-    for _ in range(step_budget):
-        if not frontier:
-            break
-        nxt = set()
-        for c in frontier:
-            for _, succ in _reach_successors(a, c, menu):
-                if succ not in visited:
-                    visited.add(succ)
-                    nxt.add(succ)
-        frontier = nxt
-    return ReachResult(frozenset(visited), exceeded=bool(frontier))
+    found = _explore(a, delay_menu, step_budget)
+    return ReachResult(frozenset(found.nodes), exceeded=found.open)
 
 
 def configuration_graph(a: HybridAutomaton, delay_menu: Iterable[Fraction],
@@ -175,43 +175,19 @@ def configuration_graph(a: HybridAutomaton, delay_menu: Iterable[Fraction],
     Nodes are exact configurations, edges are menu delays and enabled jumps;
     exploration stops at the step budget.
     """
-    menu = sorted(Fraction(d) for d in delay_menu)
-    initial = sorted((initial_configuration(a, m) for m in a.initial_modes),
-                     key=lambda c: (mode_text(c.mode), sorted(c.valuation.items())))
-    ids: dict[Configuration, int] = {}
-    edges: list[tuple[int, str, int]] = []
-
-    def intern(c: Configuration) -> int:
-        if c not in ids:
-            ids[c] = len(ids)
-        return ids[c]
-
-    frontier = deque(initial)
-    for c in initial:
-        intern(c)
-    depth = 0
-    seen = set(initial)
-    while frontier and depth < step_budget:
-        depth += 1
-        for _ in range(len(frontier)):
-            c = frontier.popleft()
-            for edge, succ in _reach_successors(a, c, menu):
-                action = edge.action if edge is not None else "delay"
-                edges.append((ids[c], action, intern(succ)))
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-    states = tuple(range(len(ids)))
+    found = _explore(a, delay_menu, step_budget)
+    ids = {c: i for i, c in enumerate(found.nodes)}
     display = {}
     labels = {}
     for c, i in ids.items():
         vals = " ".join(f"{k}={v}" for k, v in sorted(c.valuation.items()))
         display[i] = f"{mode_text(c.mode)} {vals}".strip()
         labels[i] = a.labels[c.mode]
+    edges = {(ids[c], action, ids[succ]) for c, action, succ in found.edges}
     return FiniteKripke(
-        states=states,
-        initial=frozenset(ids[c] for c in initial),
-        transitions=tuple(KripkeTransition(s, act, t) for s, act, t in sorted(set(edges))),
+        states=tuple(range(len(ids))),
+        initial=frozenset(ids[initial_configuration(a, m)] for m in a.initial_modes),
+        transitions=tuple(KripkeTransition(s, act, t) for s, act, t in sorted(edges)),
         labels=labels,
         display=display,
         propositions=a.propositions,
