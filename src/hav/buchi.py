@@ -126,10 +126,6 @@ class _Node:
 _INIT = -1  # virtual incoming marker
 
 
-def _formula_key(f: LtlFormula):
-    return str(f)
-
-
 def _expand(root: _Node, nodes: list[_Node], counter) -> None:
     """Expand `root` and every node it spawns, depth first.
 
@@ -137,9 +133,18 @@ def _expand(root: _Node, nodes: list[_Node], counter) -> None:
     on an explicit stack instead of the call stack, so a deep tableau cannot
     exhaust Python's recursion limit. A finished node whose `old` and `next`
     match a kept node's merges into it; kept nodes are indexed by those two
-    sets, which never change once a node is kept.
+    sets, which never change once a node is kept. Pending formulas are
+    taken in the order of their text, rendered once per formula.
     """
     kept: dict[tuple[frozenset, frozenset], _Node] = {}
+    texts: dict[LtlFormula, str] = {}
+
+    def text(f: LtlFormula) -> str:
+        got = texts.get(f)
+        if got is None:
+            got = texts[f] = str(f)
+        return got
+
     pending = [root]
     while pending:
         node = pending.pop()
@@ -154,7 +159,7 @@ def _expand(root: _Node, nodes: list[_Node], counter) -> None:
                 nodes.append(node)
                 node = _Node(next(counter), {node.nid}, set(node.next), set(), set())
                 continue
-            eta = min(node.new, key=_formula_key)
+            eta = min(node.new, key=text)
             node.new.discard(eta)
             if isinstance(eta, FalseConst):
                 break  # inconsistent branch

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import Optional
 
 #: reserved action for self-loops added to deadlock states
 STUTTER_ACTION = "τ-stutter"
@@ -20,6 +21,8 @@ class FiniteKripke:
     """Finite action-labeled transition graph with total proposition labeling.
 
     States are dense integer ids; `display` carries their human-readable text.
+    A caller that already holds each state's sorted (target, transition index)
+    list may pass them as `adjacency`; they are used as they are.
     """
 
     states: tuple[int, ...]
@@ -28,16 +31,25 @@ class FiniteKripke:
     labels: dict
     display: dict = field(default_factory=dict)
     propositions: frozenset[str] = frozenset()
+    adjacency: InitVar[Optional[dict]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, adjacency):
         if not self.initial:
             raise ValueError("Kripke structure needs an initial state")
-        stateset = set(self.states)
-        if not self.initial <= stateset:
+        fill = adjacency is None
+        if fill:
+            adjacency = {s: [] for s in self.states}
+        if not self.initial <= adjacency.keys():
             raise ValueError("initial states must be declared")
-        for t in self.transitions:
-            if t.source not in stateset or t.target not in stateset:
+        for index, t in enumerate(self.transitions):
+            if t.source not in adjacency or t.target not in adjacency:
                 raise ValueError(f"dangling transition {t}")
+            if fill:
+                adjacency[t.source].append((t.target, index))
+        if fill:
+            for lst in adjacency.values():
+                lst.sort()
+        self._adjacency: dict[int, list[tuple[int, int]]] = adjacency
         for s in self.states:
             self.labels.setdefault(s, frozenset())
             self.display.setdefault(s, str(s))
@@ -45,11 +57,6 @@ class FiniteKripke:
         for label in self.labels.values():
             props |= label
         self.propositions = frozenset(props)
-        self._adjacency: dict[int, list[tuple[int, int]]] = {s: [] for s in self.states}
-        for index, t in enumerate(self.transitions):
-            self._adjacency[t.source].append((t.target, index))
-        for lst in self._adjacency.values():
-            lst.sort()
 
     def successors(self, state: int) -> list[tuple[int, int]]:
         """Sorted (target, transition-index) pairs."""
@@ -57,6 +64,16 @@ class FiniteKripke:
 
     def post(self, state: int) -> list[int]:
         return sorted({t for t, _ in self._adjacency[state]})
+
+    def label(self, state: int) -> frozenset[str]:
+        return self.labels[state]
+
+    def name(self, state: int) -> str:
+        """The state's name in a counterexample: its display text."""
+        return self.display[state]
+
+    def action(self, index: int) -> str:
+        return self.transitions[index].action
 
     @property
     def state_count(self) -> int:

@@ -4,8 +4,9 @@ The synchronized product reads the Kripke label of the *source* state on
 every step; the translation's fresh initial Büchi state makes that cover the
 first letter as well. The product is explored on demand: nested DFS asks for
 a node's edges only when it reaches the node, and stops at the first
-accepting cycle. Violations come back as lassos over the product and are
-re-validated before they are reported.
+accepting cycle. The Kripke side is asked the same way, so a region graph is
+walked only as far as the search goes. Violations come back as lassos over
+the product and are re-validated before they are reported.
 """
 
 from __future__ import annotations
@@ -13,18 +14,22 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Container, Optional
+from typing import Callable, Container, Optional, Union
 
 from .buchi import BuchiAutomaton, translate_to_buchi
 from .errors import UnknownProposition
 from .graph import nested_dfs
 from .kripke import FiniteKripke
 from .ltl import Lasso, LtlFormula, Not, propositions
-from .model import HybridAutomaton, Valuation, mode_text
+from .model import HybridAutomaton, Valuation
 from .regions import RegionGraph, region_graph
 from .semantics import PathQuery, Run, initial_configuration, path_feasible, simulate
 
 Node = tuple[int, int]  # (kripke state, büchi state)
+
+#: what `check` reads of a structure: `initial`, `propositions` and, per
+#: state or transition index, `successors`, `label`, `name` and `action`
+Structure = Union[FiniteKripke, RegionGraph]
 
 
 @dataclass
@@ -57,19 +62,20 @@ class _AcceptingNodes:
         return node[1] in self.states
 
 
-def synchronized_product(k: FiniteKripke, b: BuchiAutomaton) -> ProductGraph:
+def synchronized_product(k: Structure, b: BuchiAutomaton) -> ProductGraph:
     """States (s, q); a step requires a Büchi edge whose guard matches L(s).
 
     Nothing is explored here: each node's sorted `((t, q2), edge_index)`
     list is built when a search first reaches the node.
     """
     moves = functools.cache(b.moves)
+    label, successors = k.label, k.successors
 
     def expand(node: Node) -> list[tuple[Node, int]]:
         s, q = node
-        q_moves = moves(q, k.labels[s])
+        q_moves = moves(q, label(s))
         return sorted(((t, q2), edge_index)
-                      for t, edge_index in k.successors(s) for q2 in q_moves)
+                      for t, edge_index in successors(s) for q2 in q_moves)
 
     initial = tuple(sorted((s, q) for s in k.initial for q in b.initial))
     return ProductGraph(initial, _AcceptingNodes(b.accepting), expand)
@@ -122,7 +128,7 @@ class Counterexample:
     loop: list[CxStep]
     trace: Lasso
     product: ProductLasso
-    kripke: FiniteKripke
+    kripke: Structure
     concrete: Optional[Run] = None
 
 
@@ -132,28 +138,19 @@ class Verdict:
     counterexample: Optional[Counterexample] = None
 
 
-def _project(k: FiniteKripke, lasso: ProductLasso, mode_names=None) -> Counterexample:
-    def name(state: int) -> str:
-        if mode_names is not None:
-            return mode_names[state]
-        return k.display[state]
-
+def _project(k: Structure, lasso: ProductLasso) -> Counterexample:
     stem_states = [s for s, _ in lasso.stem_nodes[:-1]]
     loop_states = [s for s, _ in lasso.loop_nodes]
-    trace = Lasso.of([k.labels[s] for s in stem_states],
-                     [k.labels[s] for s in loop_states])
-    stem_steps = [
-        CxStep(name(s), k.labels[s], k.transitions[e].action)
-        for s, e in zip(stem_states, lasso.stem_edges)
-    ]
-    loop_steps = [
-        CxStep(name(s), k.labels[s], k.transitions[e].action)
-        for s, e in zip(loop_states, lasso.loop_edges)
-    ]
+    trace = Lasso.of([k.label(s) for s in stem_states],
+                     [k.label(s) for s in loop_states])
+    stem_steps = [CxStep(k.name(s), k.label(s), k.action(e))
+                  for s, e in zip(stem_states, lasso.stem_edges)]
+    loop_steps = [CxStep(k.name(s), k.label(s), k.action(e))
+                  for s, e in zip(loop_states, lasso.loop_edges)]
     return Counterexample(stem_steps, loop_steps, trace, lasso, k)
 
 
-def check(k: FiniteKripke, phi: LtlFormula) -> Verdict:
+def check(k: Structure, phi: LtlFormula) -> Verdict:
     """Holds iff the product of k with the negation automaton is empty."""
     unknown = propositions(phi) - k.propositions
     if unknown:
@@ -173,27 +170,28 @@ def check_timed(a: HybridAutomaton, phi: LtlFormula,
                 rg: Optional[RegionGraph] = None) -> Verdict:
     """Region-graph pipeline; violations are concretized into exact runs.
 
-    Concretization replays the stem plus 1..3 unrollings of the loop through
-    the symbolic path engine; when every unrolling is infeasible the symbolic
-    lasso is still reported (it stays valid at the region level).
+    The region graph is walked only as far as the search asks, and modes
+    and automaton edges are looked up only along the lasso. Concretization
+    replays the stem plus 1..3 unrollings of the loop through the symbolic
+    path engine; when every unrolling is infeasible the symbolic lasso is
+    still reported (it stays valid at the region level).
     """
     rg = rg if rg is not None else region_graph(a)
-    verdict = check(rg.kripke, phi)
+    verdict = check(rg, phi)
     if verdict.holds:
         return verdict
-    lasso = verdict.counterexample.product
-    mode_names = {i: mode_text(mode) for i, (mode, _) in enumerate(rg.state_info)}
-    cx = _project(rg.kripke, lasso, mode_names)
+    cx = verdict.counterexample
+    lasso = cx.product
 
-    stem_refs = [rg.edge_refs[e] for e in lasso.stem_edges]
-    loop_refs = [rg.edge_refs[e] for e in lasso.loop_edges]
+    stem_refs = [rg.edge_ref(e) for e in lasso.stem_edges]
+    loop_refs = [rg.edge_ref(e) for e in lasso.loop_edges]
     stem_real = [e for e in stem_refs if e is not None]
     loop_real = [e for e in loop_refs if e is not None]
 
     run: Optional[Run] = None
     if not stem_real and not loop_real:
         # pure stuttering at an initial state: the empty run is the witness
-        mode = rg.state_info[lasso.stem_nodes[0][0]][0]
+        mode = rg.mode(lasso.stem_nodes[0][0])
         run = simulate(a, [], start=initial_configuration(a, mode))
     else:
         for unroll in range(1, MAX_LOOP_UNROLL + 1):

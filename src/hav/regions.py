@@ -5,10 +5,16 @@ above K), which clocks sit exactly on an integer, and the weak order of the
 remaining fractional parts. The induced quotient is a finite bisimulation of
 the dense semantics, so the region graph is a faithful finite Kripke
 structure for diagonal-free timed automata.
+
+The region graph is walked on demand: a model checker asks for the
+successors of the states it reaches, and the breadth-first walk goes only as
+far as those states, giving the same state and transition ids as a full
+build. Reading `kripke` forces the walk to the end.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,33 +185,271 @@ def region_count_bound(modes: int, clocks: int, k: int) -> int:
     return modes * factorial(clocks) * (2 ** clocks) * ((2 * k + 2) ** clocks)
 
 
-@dataclass
+#: transition index that `RegionGraph.successors` gives a deadlock's stutter
+#: self-loop; its index in `RegionGraph.kripke` is known only once every
+#: other transition is
+STUTTER_EDGE = -1
+
+
+def _walked() -> bool:
+    return False
+
+
 class RegionGraph:
-    """Region abstraction result: the Kripke structure plus provenance.
+    """Region graph of a timed automaton, walked on demand; build it with
+    `region_graph`.
+
+    States are (mode, region) pairs with dense ids in breadth-first order.
+    `successors(s)`, `label(s)`, `mode(s)`, `name(s)`, `edge_ref(e)` and
+    `action(e)` walk the graph only until state s, or the state behind
+    transition e, has been walked, so a search that stops early leaves the
+    rest unbuilt. `state_info`, `edge_refs`, `deadlocks` and `kripke` finish
+    the walk; `kripke` is built once, from the walked lists.
 
     `state_info[i]` is the (mode, region) behind Kripke state i;
     `edge_refs[j]` is the automaton transition behind Kripke transition j
     (None for the stutter self-loops added on deadlock states).
+    `propositions` are the ones the labeling declares, reached or not.
     """
 
-    kripke: FiniteKripke
-    state_info: list[tuple[object, Region]]
-    edge_refs: list[Optional[Transition]]
-    k: int
-    bound: int
-    deadlocks: frozenset[int]
+    def __init__(self, a: HybridAutomaton, labels: Mapping, k: int):
+        self.k = k
+        self.bound = region_count_bound(len(a.modes), len(a.variables), k)
+        self.propositions = frozenset().union(*labels.values())
+        self._automaton = a
+
+        # regions by id; successor[i] is the id of regions[i]'s time successor
+        # (-1 until first asked for), equal to i at the all-above fixpoint
+        region_ids: dict[Region, int] = {}
+        regions: list[Region] = []
+        successor: list[int] = []
+
+        def region_id(region: Region) -> int:
+            got = region_ids.get(region)
+            if got is None:
+                got = len(regions)
+                region_ids[region] = got
+                regions.append(region)
+                successor.append(-1)
+            return got
+
+        # states by id, keyed by (mode, region id); per state, its label,
+        # `fired`, the (edge index, target state) pairs its region fires,
+        # and `later`, the state of the next region on its chain (-1 where
+        # the chain ends); None until a walk first passes the state
+        ids: dict[tuple, int] = {}
+        keys: list[tuple] = []
+        info: list[tuple[object, Region]] = []
+        mode_labels: dict = {}
+        state_labels: list[frozenset[str]] = []
+        fired: list[Optional[list[tuple[int, int]]]] = []
+        later: list[Optional[int]] = []
+        queue: deque = deque()
+
+        def intern(mode, rid: int) -> int:
+            key = (mode, rid)
+            got = ids.get(key)
+            if got is None:
+                got = len(info)
+                ids[key] = got
+                keys.append(key)
+                info.append((mode, regions[rid]))
+                label = mode_labels.get(mode)
+                if label is None:
+                    label = mode_labels[mode] = frozenset(labels[mode])
+                state_labels.append(label)
+                fired.append(None)
+                later.append(None)
+                queue.append(got)
+            return got
+
+        edge_index = {t: i for i, t in enumerate(a.transitions)}
+        outgoing = {m: [(edge_index[t], t) for t in a.edges_from(m)] for m in a.modes}
+
+        def fire(mode, rid: int) -> Optional[list[tuple[int, int]]]:
+            """None if the region breaks the mode's invariant; else intern the
+            landed state of each enabled edge, in order, and list them."""
+            region = regions[rid]
+            if not region_satisfies(region, a.invariant(mode)):
+                return None
+            out = []
+            for ei, edge in outgoing[mode]:
+                if not region_satisfies(region, edge.guard):
+                    continue
+                landed = reset_region(region, edge.jump.reset)
+                if region_satisfies(landed, a.invariant(edge.target)):
+                    out.append((ei, intern(edge.target, region_id(landed))))
+            return out
+
+        def step(state: int) -> int:
+            """The state of the next region on `state`'s chain, or -1."""
+            mode, rid = keys[state]
+            nxt = successor[rid]
+            if nxt < 0:
+                nxt = successor[rid] = region_id(time_successor(regions[rid]))
+            if nxt == rid:
+                following = -1
+            else:
+                following = ids.get((mode, nxt))
+                if following is None or fired[following] is None:
+                    fires = fire(mode, nxt)
+                    if fires is None:
+                        following = -1
+                    else:
+                        following = intern(mode, nxt)
+                        fired[following] = fires
+            later[state] = following
+            return following
+
+        # per walked state, its sorted (target, transition index) pairs;
+        # per transition, in index order, the automaton edge's index
+        out: list[list[tuple[int, int]]] = []
+        edge_of: list[int] = []
+
+        def walk() -> bool:
+            """Walk the next queued state; False once every state is walked.
+
+            A walk from src fires every edge from every region on src's
+            chain. The first walk through a state interns each landed state,
+            then the state itself, in chain order; later walks replay the
+            memoised lists. Queued states come in id order, so src's
+            transitions are numbered after those of every lower id.
+            """
+            if not queue:
+                return False
+            src = state = queue.popleft()
+            if fired[src] is None:
+                fired[src] = fire(*keys[src])
+            pairs: dict[tuple[int, int], None] = {}
+            while state >= 0:
+                for pair in fired[state]:
+                    pairs[pair] = None
+                following = later[state]
+                state = step(state) if following is None else following
+            base = len(edge_of)
+            edge_of.extend([ei for ei, _ in pairs])
+            edges = sorted([(dst, e) for e, (_, dst) in enumerate(pairs, base)])
+            out.append(edges or [(src, STUTTER_EDGE)])
+            return True
+
+        self._info = info
+        self._labels = state_labels
+        self._out = out
+        self._edge_of = edge_of
+        self._walk = walk
+
+        mode_order = {m: i for i, m in enumerate(a.modes)}
+        start = region_id(zero_region(a.variables, k))
+        initial_states = []
+        for m in sorted(a.initial_modes, key=lambda m: mode_order[m]):
+            if region_satisfies(regions[start], a.invariant(m)):
+                initial_states.append(intern(m, start))
+        if not initial_states:
+            raise WrongClass("no initial state satisfies its mode invariant")
+        self.initial = frozenset(initial_states)
+
+    def _walk_to(self, state: int) -> None:
+        while len(self._out) <= state and self._walk():
+            pass
+
+    def _finish(self) -> None:
+        while self._walk():
+            pass
+        self._walk = _walked  # lets the walk's memo tables go
+
+    @property
+    def walked(self) -> int:
+        """How many states have been walked so far: every id below it."""
+        return len(self._out)
+
+    def successors(self, state: int) -> list[tuple[int, int]]:
+        """Sorted (target, transition index) pairs; a deadlock's stutter
+        self-loop has the index STUTTER_EDGE."""
+        out = self._out
+        if state >= len(out):
+            self._walk_to(state)
+        return out[state]
+
+    def mode(self, state: int):
+        self._walk_to(state)
+        return self._info[state][0]
+
+    def label(self, state: int) -> frozenset[str]:
+        labels = self._labels
+        if state >= len(labels):
+            self._walk_to(state)
+        return labels[state]
+
+    def name(self, state: int) -> str:
+        """The state's name in a counterexample: its mode."""
+        return mode_text(self.mode(state))
+
+    def edge_ref(self, edge: int) -> Optional[Transition]:
+        """The automaton transition behind transition `edge`; None for a
+        stutter self-loop."""
+        while edge >= len(self._edge_of) and self._walk():
+            pass
+        if 0 <= edge < len(self._edge_of):
+            return self._automaton.transitions[self._edge_of[edge]]
+        return None
+
+    def action(self, edge: int) -> str:
+        ref = self.edge_ref(edge)
+        return STUTTER_ACTION if ref is None else ref.action
+
+    @property
+    def state_info(self) -> list[tuple[object, Region]]:
+        self._finish()
+        return self._info
+
+    @functools.cached_property
+    def deadlocks(self) -> frozenset[int]:
+        self._finish()
+        return frozenset(s for s, edges in enumerate(self._out) if edges[0][1] == STUTTER_EDGE)
+
+    @functools.cached_property
+    def edge_refs(self) -> list[Optional[Transition]]:
+        self._finish()
+        transitions = self._automaton.transitions
+        return [transitions[ei] for ei in self._edge_of] + [None] * len(self.deadlocks)
+
+    @functools.cached_property
+    def kripke(self) -> FiniteKripke:
+        """The finished graph; stutter self-loops are numbered last, in state order."""
+        refs = self.edge_refs
+        adjacency = dict(enumerate(self._out))
+        for e, s in enumerate(sorted(self.deadlocks), len(self._edge_of)):
+            adjacency[s] = [(s, e)]
+        transitions: list = [None] * len(refs)
+        for s, edges in adjacency.items():
+            for t, e in edges:
+                ref = refs[e]
+                transitions[e] = KripkeTransition(
+                    s, STUTTER_ACTION if ref is None else ref.action, t)
+        return FiniteKripke(
+            states=tuple(range(len(self._info))),
+            initial=self.initial,
+            transitions=tuple(transitions),
+            labels=dict(enumerate(self._labels)),
+            display={s: f"{mode_text(m)} | {r}" for s, (m, r) in enumerate(self._info)},
+            propositions=self.propositions,
+            adjacency=adjacency,
+        )
 
 
 def region_graph(a: HybridAutomaton, labeling: Optional[dict] = None,
                  k: Optional[int] = None) -> RegionGraph:
-    """Finite Kripke structure of a diagonal-free timed automaton.
+    """Region graph of a diagonal-free timed automaton, walked on demand.
 
     One Kripke transition per (delay*, edge) pair: from (m, r), each region
     r' on r's invariant-respecting time-successor chain may fire each edge
     enabled at r'. Every region on that chain is interned as a state too.
     Deadlock states get a reserved stutter self-loop so every state has an
-    infinite trace.
+    infinite trace. The states declare the propositions of `labeling`
+    (default: the automaton's labels), reached or not.
 
+    Only the initial states are built here; the accessors of the result
+    walk the rest breadth first as they are asked, and `kripke` forces it.
     Successors and firing lists are memoised per region. Each distinct
     region is built once (and validated then, like every Region), gets a
     small id, and has its time successor computed once per id. Each state,
@@ -214,7 +458,7 @@ def region_graph(a: HybridAutomaton, labeling: Optional[dict] = None,
     edges it fires and the next state on its chain; later walks replay
     those lists. The first walk interns in chain order (each landed state,
     then the chain region), so state ids and the order of transitions are
-    those of walking every chain afresh.
+    those of walking every chain afresh, however far the walk has gone.
     """
     report = classify(a)
     if report.klass != AutomatonClass.TIMED:
@@ -231,126 +475,4 @@ def region_graph(a: HybridAutomaton, labeling: Optional[dict] = None,
     kk = max_constant(a) if k is None else k
     if kk < max_constant(a):
         raise ValueError(f"k={kk} is below the automaton's maximum constant")
-    labels = labeling if labeling is not None else a.labels
-
-    # regions by id; successor[i] is the id of regions[i]'s time successor
-    # (-1 until first asked for), equal to i at the all-above fixpoint
-    region_ids: dict[Region, int] = {}
-    regions: list[Region] = []
-    successor: list[int] = []
-
-    def region_id(region: Region) -> int:
-        got = region_ids.get(region)
-        if got is None:
-            got = len(regions)
-            region_ids[region] = got
-            regions.append(region)
-            successor.append(-1)
-        return got
-
-    # states by id, keyed by (mode, region id); per state, `fired` holds the
-    # (edge index, target state) pairs its region fires and `later` the state
-    # of the next region on its chain (-1 where the chain ends); None until
-    # a walk first passes the state
-    ids: dict[tuple, int] = {}
-    keys: list[tuple] = []
-    info: list[tuple[object, Region]] = []
-    fired: list[Optional[list[tuple[int, int]]]] = []
-    later: list[Optional[int]] = []
-    queue: deque = deque()
-
-    def intern(mode, rid: int) -> int:
-        key = (mode, rid)
-        got = ids.get(key)
-        if got is None:
-            got = len(info)
-            ids[key] = got
-            keys.append(key)
-            info.append((mode, regions[rid]))
-            fired.append(None)
-            later.append(None)
-            queue.append(got)
-        return got
-
-    edge_index = {t: i for i, t in enumerate(a.transitions)}
-    outgoing = {m: [(edge_index[t], t) for t in a.edges_from(m)] for m in a.modes}
-
-    def fire(mode, rid: int) -> Optional[list[tuple[int, int]]]:
-        """None if the region breaks the mode's invariant; else intern the
-        landed state of each enabled edge, in order, and list them."""
-        region = regions[rid]
-        if not region_satisfies(region, a.invariant(mode)):
-            return None
-        out = []
-        for ei, edge in outgoing[mode]:
-            if not region_satisfies(region, edge.guard):
-                continue
-            landed = reset_region(region, edge.jump.reset)
-            if region_satisfies(landed, a.invariant(edge.target)):
-                out.append((ei, intern(edge.target, region_id(landed))))
-        return out
-
-    def step(state: int) -> int:
-        """The state of the next region on `state`'s chain, or -1."""
-        mode, rid = keys[state]
-        nxt = successor[rid]
-        if nxt < 0:
-            nxt = successor[rid] = region_id(time_successor(regions[rid]))
-        if nxt == rid:
-            following = -1
-        else:
-            following = ids.get((mode, nxt))
-            if following is None or fired[following] is None:
-                fires = fire(mode, nxt)
-                if fires is None:
-                    following = -1
-                else:
-                    following = intern(mode, nxt)
-                    fired[following] = fires
-        later[state] = following
-        return following
-
-    mode_order = {m: i for i, m in enumerate(a.modes)}
-    start = region_id(zero_region(a.variables, kk))
-    initial_states = []
-    for m in sorted(a.initial_modes, key=lambda m: mode_order[m]):
-        if region_satisfies(regions[start], a.invariant(m)):
-            initial_states.append(intern(m, start))
-    if not initial_states:
-        raise WrongClass("no initial state satisfies its mode invariant")
-
-    # A walk from src fires every edge from every region on src's chain. The
-    # first walk through a state interns each landed state, then the state
-    # itself, in chain order; later walks replay the memoised lists.
-    transitions: dict[tuple[int, int, int], None] = {}
-    while queue:
-        src = state = queue.popleft()
-        if fired[src] is None:
-            fired[src] = fire(*keys[src])
-        while state >= 0:
-            for ei, dst in fired[state]:
-                transitions[(src, ei, dst)] = None
-            following = later[state]
-            state = step(state) if following is None else following
-
-    ktransitions: list[KripkeTransition] = []
-    edge_refs: list[Optional[Transition]] = []
-    has_out = set()
-    for (src, ei, dst) in transitions:
-        ktransitions.append(KripkeTransition(src, a.transitions[ei].action, dst))
-        edge_refs.append(a.transitions[ei])
-        has_out.add(src)
-    deadlocks = frozenset(i for i in range(len(info)) if i not in has_out)
-    for s in sorted(deadlocks):
-        ktransitions.append(KripkeTransition(s, STUTTER_ACTION, s))
-        edge_refs.append(None)
-
-    kripke = FiniteKripke(
-        states=tuple(range(len(info))),
-        initial=frozenset(initial_states),
-        transitions=tuple(ktransitions),
-        labels={i: frozenset(labels[m]) for i, (m, _) in enumerate(info)},
-        display={i: f"{mode_text(m)} | {r}" for i, (m, r) in enumerate(info)},
-    )
-    bound = region_count_bound(len(a.modes), len(a.variables), kk)
-    return RegionGraph(kripke, info, edge_refs, kk, bound, deadlocks)
+    return RegionGraph(a, labeling if labeling is not None else a.labels, kk)

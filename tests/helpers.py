@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import deque
 from pathlib import Path
 
+from hav.compose import product
 from hav.kripke import STUTTER_ACTION, FiniteKripke, make_kripke
 from hav.ltl import (
     Always, And, Eventually, FalseConst, Implies, Lasso, Next, Not, Or, Prop,
@@ -34,6 +36,21 @@ MODELS = Path(__file__).parent.parent / "models"
 def load_model(name: str) -> ModelDocument:
     path = MODELS / f"{name}.hav"
     return parse_model(path.read_text(), filename=str(path))
+
+
+_LOGIN_NAMES = re.compile(r"\b(login|x|standby|valid|delay|error|connect|user_name|restart"
+                          r"|pw_fail|pw_match|log_error)\b")
+
+
+def login_copies(tags, limit: int, backoff: int) -> HybridAutomaton:
+    """The product of copies of models/login.hav, every name suffixed by
+    one of `tags`, with the constants 60 and 10 set to `limit` and `backoff`."""
+    source = (MODELS / "login.hav").read_text()
+    parts = [_LOGIN_NAMES.sub(rf"\g<1>{tag}", source)
+             .replace("60", str(limit)).replace("10", str(backoff)) for tag in tags]
+    members = ", ".join(f"login{tag}" for tag in tags)
+    doc = parse_model("\n".join(parts) + f"network all {{ {members} }}\n")
+    return product(doc.network("all"))
 
 
 # ------------------------------------------------------------ random formulas

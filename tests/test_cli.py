@@ -47,6 +47,28 @@ def test_check_holds_exit_zero(capsys):
     assert code == 0 and out.strip() == "HOLDS"
 
 
+UNREACHED_MODE = """\
+automaton unreached {
+  vars: x;
+  class: timed;
+  mode a { init; }
+  mode d {}
+  edge a -> a on tick when x >= 1 reset x;
+}
+"""
+
+
+@pytest.mark.parametrize("formula, code, verdict", [
+    ("F d", 1, "VIOLATED"),
+    ("! F d", 0, "HOLDS"),
+])
+def test_check_unreached_mode_proposition_is_declared(capsys, tmp_path, formula, code, verdict):
+    model = tmp_path / "unreached.hav"
+    model.write_text(UNREACHED_MODE)
+    got, out, err = run(capsys, "check", str(model), "--formula", formula)
+    assert (got, out.splitlines()[0]) == (code, verdict), err
+
+
 def test_check_malformed_formula_exit_two(capsys):
     code, _, err = run(capsys, "check", LOGIN, "--formula", "F (")
     assert code == 2

@@ -12,11 +12,16 @@ from hav.model import (
     Valuation, max_constant,
 )
 from hav.compose import product
+from hav.mcheck import check, check_timed
 from hav.regions import (
     Region, region_count_bound, region_graph, region_of, time_successor,
     time_successor_chain, zero_region,
 )
-from helpers import load_model, random_timed_automaton, reference_region_graph
+from hav.textfmt import emit_counterexample, parse_ltl
+from helpers import (
+    load_model, login_copies, random_formula, random_timed_automaton,
+    reference_region_graph,
+)
 
 
 def val(**kw):
@@ -221,6 +226,32 @@ class TestRegionGraphMatchesReference:
 
     def test_jobshop_timed(self):
         self.assert_matches(product(load_model("jobshop_timed").network("all")))
+
+
+class TestRegionGraphOnDemand:
+    """`check_timed` walks the region graph only as far as nested DFS goes,
+    and reports what it reports on a graph walked in full first."""
+
+    def test_liveness_check_walks_a_prefix(self):
+        pair = login_copies(["_a", "_b"], 5, 1)
+        rg = region_graph(pair)
+        assert not check_timed(pair, parse_ltl("G F standby_a"), rg=rg).holds
+        assert 0 < rg.walked < 200
+        assert rg.kripke.state_count == rg.walked == 4550
+
+    def test_lazy_and_forced_graphs_agree(self):
+        rng = random.Random(78)
+        for _ in range(100):
+            a = random_timed_automaton(rng)
+            phi = random_formula(rng, rng.randint(1, 6), sorted(a.propositions))
+            forced = region_graph(a)
+            assert forced.kripke.state_count == forced.walked
+            lazy_verdict = check_timed(a, phi, rg=region_graph(a))
+            forced_verdict = check_timed(a, phi, rg=forced)
+            assert lazy_verdict.holds == forced_verdict.holds == check(forced.kripke, phi).holds
+            if not lazy_verdict.holds:
+                assert emit_counterexample(lazy_verdict.counterexample) \
+                    == emit_counterexample(forced_verdict.counterexample)
 
 
 def test_region_count_bound_values():
