@@ -24,7 +24,9 @@ from .rational import format_rational, parse_rational
 from .regions import region_graph
 from .reductions import multirate_to_timed, rect_to_multirate
 from .semantics import bouncing_ball, simulate, total_time
-from .textfmt import ModelDocument, ParseError, parse_ltl, parse_model, print_model
+from .textfmt import (
+    ModelDocument, ParseError, SourceSpan, parse_ltl, parse_model, print_model,
+)
 
 
 def _read(path: str) -> str:
@@ -42,6 +44,33 @@ def _write(path, text: str) -> None:
 
 def _load_model(path: str) -> ModelDocument:
     return parse_model(_read(path), filename=path)
+
+
+def _script_steps(path: str) -> list[tuple]:
+    """(delay, action, target or None) per step of a JSON simulation script.
+
+    A script is a list of objects, each with an "action" string, an optional
+    "delay" (default 0) and an optional "target" mode.
+    """
+    span = SourceSpan(path, 1, 1)
+    try:
+        steps = json.loads(_read(path))
+    except RecursionError:
+        raise ParseError("script nested too deeply", span) from None
+    if not isinstance(steps, list):
+        raise ParseError("a script is a JSON list of steps", span)
+    out = []
+    for i, raw in enumerate(steps):
+        if not isinstance(raw, dict) or not isinstance(raw.get("action"), str):
+            raise ParseError(f'step {i}: expected an object with an "action" string', span)
+        if not isinstance(raw.get("target", ""), str):
+            raise ParseError(f'step {i}: "target" must be a mode name string', span)
+        try:
+            delay = parse_rational(str(raw.get("delay", "0")))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"step {i}: bad delay {raw['delay']!r}", span) from None
+        out.append((delay, raw["action"], raw.get("target")))
+    return out
 
 
 def _pick_automaton(doc: ModelDocument, args) -> "object":
@@ -175,20 +204,17 @@ def _dispatch(args) -> int:
     if command == "simulate":
         doc = _load_model(args.model)
         automaton = _pick_automaton(doc, args)
-        steps = json.loads(_read(args.script))
         script = []
         mode = None
-        for i, raw in enumerate(steps):
-            delay = parse_rational(str(raw.get("delay", "0")))
-            action = raw["action"]
+        for i, (delay, action, target) in enumerate(_script_steps(args.script)):
             source = mode
             if source is None:
                 candidates = [t for t in automaton.transitions
                               if t.action == action and t.source in automaton.initial_modes]
             else:
                 candidates = [t for t in automaton.edges_from(source) if t.action == action]
-            if "target" in raw:
-                candidates = [t for t in candidates if mode_text(t.target) == raw["target"]]
+            if target is not None:
+                candidates = [t for t in candidates if mode_text(t.target) == target]
             if len(candidates) != 1:
                 raise HavError(
                     f"step {i}: action {action!r} matches {len(candidates)} edges "

@@ -5,6 +5,10 @@ followed by Fourier-Motzkin elimination with a strictness bit; combining a
 strict bound with a non-strict one stays strict. On success produces one
 witness, choosing the midpoint of each variable's residual interval (strict
 endpoints nudged inward by half the gap).
+
+Equalities are taken in row order, each solved for its highest-numbered
+variable. An index from each variable to the rows that still mention it
+lets the substitution visit only those rows, not the whole system.
 """
 
 from __future__ import annotations
@@ -66,17 +70,20 @@ class LinearSystem:
 
     def solve(self) -> Optional[Solution]:
         """One exact witness, or None when the conjunction is unsatisfiable."""
-        rows = [(dict(c.coeffs), c.op, c.rhs) for c in self.constraints]
+        rows = [[dict(c.coeffs), c.op, c.rhs] for c in self.constraints]
+        # variable -> ids of the rows not yet taken as equalities that mention it
+        occurs: dict[int, set[int]] = {}
+        for r, (coeffs, _, _) in enumerate(rows):
+            for i in coeffs:
+                occurs.setdefault(i, set()).add(r)
 
         # equality substitution: x_k = (rhs - rest)/coef
         substitutions: list[tuple[int, dict[int, Fraction], Fraction]] = []
-        inequalities: list[tuple[dict[int, Fraction], str, Fraction]] = []
-        pending = rows
-        while pending:
-            coeffs, op, rhs = pending.pop(0)
+        for r, (coeffs, op, rhs) in enumerate(rows):
             if op != EQ:
-                inequalities.append((coeffs, op, rhs))
                 continue
+            for i in coeffs:
+                occurs[i].discard(r)
             if not coeffs:
                 if rhs != 0:
                     return None
@@ -87,22 +94,25 @@ class LinearSystem:
             const = rhs / ck
             substitutions.append((k, expr, const))
 
-            # substitute x_k := expr + const into everything not yet processed
-            def apply(row):
-                rc, rop, rr = row
-                f = rc.pop(k, Fraction(0))
-                if f:
-                    for i, c in expr.items():
-                        nc = rc.get(i, Fraction(0)) + f * c
-                        if nc == 0:
-                            rc.pop(i, None)
-                        else:
-                            rc[i] = nc
-                    rr = rr - f * const
-                return rc, rop, rr
-
-            pending = [apply(r) for r in pending]
-            inequalities = [apply(r) for r in inequalities]
+            # substitute x_k := expr + const into the rows that mention it
+            for s in occurs.pop(k, ()):
+                row = rows[s]
+                rc = row[0]
+                f = rc.pop(k)
+                for i, c in expr.items():
+                    old = rc.get(i)
+                    if old is None:
+                        rc[i] = f * c
+                        occurs.setdefault(i, set()).add(s)
+                        continue
+                    nc = old + f * c
+                    if nc == 0:
+                        del rc[i]
+                        occurs[i].discard(s)
+                    else:
+                        rc[i] = nc
+                row[2] -= f * const
+        inequalities = [row for row in rows if row[1] != EQ]
 
         # Fourier-Motzkin on the inequalities
         eliminated_vars = sorted({i for c, _, _ in inequalities for i in c}, reverse=True)

@@ -3,7 +3,7 @@
 The oracles here deliberately re-derive results by different means than the
 library: SCC-based emptiness instead of nested DFS, exhaustive lasso
 enumeration instead of the Büchi pipeline, dense sampling instead of
-Fourier-Motzkin.
+Fourier-Motzkin, substitution into every row instead of an occurrence index.
 """
 
 from __future__ import annotations
@@ -12,9 +12,12 @@ import itertools
 import random
 import re
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 from hav.compose import product
+from hav.linsolve import EQ, LE, LT, LinearSystem, Solution
 from hav.kripke import STUTTER_ACTION, FiniteKripke, make_kripke
 from hav.ltl import (
     Always, And, Eventually, FalseConst, Implies, Lasso, Next, Not, Or, Prop,
@@ -216,6 +219,134 @@ def reference_region_graph(a: HybridAutomaton, k: int) -> dict:
         "edge_refs": edge_refs, "deadlocks": frozenset(deadlocks),
         "bound": region_count_bound(len(a.modes), len(a.variables), k),
     }
+
+
+# --------------------------------------------------- linear solver oracle
+
+def reference_solve(system: LinearSystem) -> Optional[Solution]:
+    """`LinearSystem.solve` with each equality substituted into every row.
+
+    After each equality, every pending row and every inequality kept so far
+    is rewritten, whether it mentions the substituted variable or not. The
+    pivot choice, Fourier-Motzkin and the witness are those of `solve`, so
+    the two must return the same values and intervals.
+    """
+    rows = [(dict(c.coeffs), c.op, c.rhs) for c in system.constraints]
+
+    # equality substitution: x_k = (rhs - rest)/coef
+    substitutions: list[tuple[int, dict[int, Fraction], Fraction]] = []
+    inequalities: list[tuple[dict[int, Fraction], str, Fraction]] = []
+    pending = rows
+    while pending:
+        coeffs, op, rhs = pending.pop(0)
+        if op != EQ:
+            inequalities.append((coeffs, op, rhs))
+            continue
+        if not coeffs:
+            if rhs != 0:
+                return None
+            continue
+        k = max(coeffs)
+        ck = coeffs.pop(k)
+        expr = {i: -c / ck for i, c in coeffs.items()}
+        const = rhs / ck
+        substitutions.append((k, expr, const))
+
+        # substitute x_k := expr + const into everything not yet processed
+        def apply(row):
+            rc, rop, rr = row
+            f = rc.pop(k, Fraction(0))
+            if f:
+                for i, c in expr.items():
+                    nc = rc.get(i, Fraction(0)) + f * c
+                    if nc == 0:
+                        rc.pop(i, None)
+                    else:
+                        rc[i] = nc
+                rr = rr - f * const
+            return rc, rop, rr
+
+        pending = [apply(r) for r in pending]
+        inequalities = [apply(r) for r in inequalities]
+
+    # Fourier-Motzkin on the inequalities
+    eliminated_vars = sorted({i for c, _, _ in inequalities for i in c}, reverse=True)
+    bounds: dict[int, tuple[list, list]] = {}
+    current = inequalities
+    for k in eliminated_vars:
+        lowers, uppers, rest = [], [], []
+        for coeffs, op, rhs in current:
+            ck = coeffs.get(k)
+            if not ck:
+                rest.append((coeffs, op, rhs))
+                continue
+            expr = {i: -c / ck for i, c in coeffs.items() if i != k}
+            const = rhs / ck
+            if ck > 0:
+                uppers.append((expr, const, op))  # x_k op const + expr
+            else:
+                lowers.append((expr, const, op))  # x_k flip(op) const + expr
+        bounds[k] = (lowers, uppers)
+        for lexpr, lconst, lop in lowers:
+            for uexpr, uconst, uop in uppers:
+                coeffs = dict(lexpr)
+                for i, c in uexpr.items():
+                    nc = coeffs.get(i, Fraction(0)) - c
+                    if nc == 0:
+                        coeffs.pop(i, None)
+                    else:
+                        coeffs[i] = nc
+                op = LT if LT in (lop, uop) else LE
+                rest.append((coeffs, op, uconst - lconst))
+        current = rest
+
+    for coeffs, op, rhs in current:
+        assert not coeffs
+        if op == LE and not rhs >= 0:
+            return None
+        if op == LT and not rhs > 0:
+            return None
+
+    values: dict[int, Fraction] = {}
+    intervals: dict[int, tuple[Optional[Fraction], Optional[Fraction]]] = {}
+
+    def evaluate(expr: dict[int, Fraction], const: Fraction) -> Fraction:
+        return const + sum((c * values[i] for i, c in expr.items()), Fraction(0))
+
+    for k in reversed(eliminated_vars):
+        lowers, uppers = bounds[k]
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for expr, const, op in lowers:
+            v = evaluate(expr, const)
+            if lo is None or v > lo or (v == lo and op == LT):
+                lo, lo_strict = v, op == LT
+        for expr, const, op in uppers:
+            v = evaluate(expr, const)
+            if hi is None or v < hi or (v == hi and op == LT):
+                hi, hi_strict = v, op == LT
+        intervals[k] = (lo, hi)
+        if lo is None and hi is None:
+            values[k] = Fraction(0)
+        elif hi is None:
+            values[k] = lo + 1 if lo_strict else lo
+        elif lo is None:
+            values[k] = hi - 1 if hi_strict else hi
+        elif lo == hi:
+            values[k] = lo
+        else:
+            values[k] = (lo + hi) / 2
+
+    for k, expr, const in reversed(substitutions):
+        v = const + sum((c * values.get(i, Fraction(0)) for i, c in expr.items()), Fraction(0))
+        values[k] = v
+        intervals[k] = (v, v)
+
+    out_values = [values.get(i, Fraction(0)) for i in range(system.nvars)]
+    out_intervals = [intervals.get(i, (None, None)) for i in range(system.nvars)]
+    sol = Solution(out_values, out_intervals)
+    assert system.satisfied_by(sol.values), "witness must satisfy every constraint"
+    return sol
 
 
 # ---------------------------------------------------------------- SCC oracle

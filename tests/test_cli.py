@@ -130,6 +130,32 @@ def test_simulate_rejected_script_exit_one(capsys, tmp_path):
     assert code == 1 and "rejected" in err
 
 
+@pytest.mark.parametrize("steps, expected", [
+    ([[1, "x"]], "step 0"),
+    ([1], "step 0"),
+    ("x", "list of steps"),
+    ({"steps": []}, "list of steps"),
+    ([{"delay": "1"}], "step 0"),
+    ([{"action": "user_name", "target": None}], "step 0: \"target\""),
+    ([{"delay": "0", "action": "user_name"}, {"delay": "1/0", "action": "pw_match"}],
+     "step 1: bad delay"),
+])
+def test_simulate_malformed_script_exit_two(capsys, tmp_path, steps, expected):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(steps))
+    code, out, err = run(capsys, "simulate", LOGIN, "--script", str(script))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+
+
+def test_simulate_deeply_nested_script_exit_two(capsys, tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "simulate", LOGIN, "--script", str(script))
+    assert code == 2 and err.count("\n") == 1 and "nested too deeply" in err
+
+
 def test_regions_stats(capsys):
     code, out, _ = run(capsys, "regions", LOGIN, "--stats")
     assert code == 0
