@@ -1,10 +1,15 @@
-"""Coarsest bisimulation quotients and bisimilarity of finite Kripke structures."""
+"""Coarsest bisimulation quotients and bisimilarity of finite Kripke structures.
+
+A structure is read through its accessors, so a `FiniteKripke` and an
+on-demand `RegionGraph` serve alike.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .kripke import FiniteKripke, KripkeTransition
+from .mcheck import Structure
 
 QUOTIENT_ACTION = "τ"
 
@@ -27,51 +32,43 @@ class Partition:
         return len(self.blocks)
 
 
-def _refine(states, labels, post, initial_blocks=None) -> Partition:
-    """Split on labels, then on Post-block signatures until stable."""
-    if initial_blocks is None:
-        by_label: dict[frozenset, list[int]] = {}
-        for s in states:
-            by_label.setdefault(labels[s], []).append(s)
-        blocks = [frozenset(v) for v in by_label.values()]
-    else:
-        blocks = list(initial_blocks)
-    partition = Partition.from_blocks(blocks)
+def _refine(states, label, successors) -> Partition:
+    """Split on labels, then on successor-block signatures until stable."""
+    by_label: dict[frozenset, list[int]] = {}
+    for s in states:
+        by_label.setdefault(label(s), []).append(s)
+    partition = Partition.from_blocks(by_label.values())
     while True:
-        signature = {}
-        for s in states:
-            signature[s] = (partition.block_of[s],
-                            frozenset(partition.block_of[t] for t in post(s)))
+        block_of = partition.block_of
         groups: dict = {}
         for s in states:
-            groups.setdefault(signature[s], []).append(s)
-        refined = Partition.from_blocks(frozenset(v) for v in groups.values())
+            signature = (block_of[s], frozenset(block_of[t] for t, _ in successors(s)))
+            groups.setdefault(signature, []).append(s)
+        refined = Partition.from_blocks(groups.values())
         if refined.size == partition.size:
             return refined
         partition = refined
 
 
-def coarsest_quotient(k: FiniteKripke) -> tuple[FiniteKripke, Partition]:
+def coarsest_quotient(k: Structure) -> tuple[FiniteKripke, Partition]:
     """Quotient by the coarsest bisimulation on k's states.
 
     Blocks become states, every action collapses to τ per the quotient
     definition, labels and initial states are inherited blockwise.
     """
-    partition = _refine(k.states, k.labels, k.post)
-    edges = sorted({
-        (partition.block_of[t.source], partition.block_of[t.target])
-        for t in k.transitions
-    })
+    partition = _refine(k.states, k.label, k.successors)
+    block_of = partition.block_of
+    edges = sorted({(block_of[s], block_of[t]) for s in k.states for t, _ in k.successors(s)})
     labels = {}
     display = {}
     for i, block in enumerate(partition.blocks):
-        member_labels = {k.labels[s] for s in block}
+        member_labels = {k.label(s) for s in block}
         assert len(member_labels) == 1, "blocks must be label-homogeneous"
         labels[i] = member_labels.pop()
         display[i] = "{" + ",".join(str(s) for s in sorted(block)) + "}"
     quotient = FiniteKripke(
         states=tuple(range(partition.size)),
-        initial=frozenset(partition.block_of[s] for s in k.initial),
+        initial=frozenset(block_of[s] for s in k.initial),
         transitions=tuple(KripkeTransition(s, QUOTIENT_ACTION, t) for s, t in edges),
         labels=labels,
         display=display,
@@ -80,7 +77,7 @@ def coarsest_quotient(k: FiniteKripke) -> tuple[FiniteKripke, Partition]:
     return quotient, partition
 
 
-def is_bisimilar(k1: FiniteKripke, k2: FiniteKripke) -> bool:
+def is_bisimilar(k1: Structure, k2: Structure) -> bool:
     """Whether a bisimulation relating the initial state sets both ways exists.
 
     Computes the greatest bisimulation over the disjoint union by partition
@@ -88,18 +85,16 @@ def is_bisimilar(k1: FiniteKripke, k2: FiniteKripke) -> bool:
     """
     offset = len(k1.states)
     states = list(k1.states) + [s + offset for s in k2.states]
-    labels = {s: k1.labels[s] for s in k1.states}
-    labels.update({s + offset: k2.labels[s] for s in k2.states})
 
-    post1 = {s: k1.post(s) for s in k1.states}
-    post2 = {s: k2.post(s) for s in k2.states}
+    def label(s):
+        return k1.label(s) if s < offset else k2.label(s - offset)
 
-    def post(s):
+    def successors(s):
         if s < offset:
-            return post1[s]
-        return [t + offset for t in post2[s - offset]]
+            return k1.successors(s)
+        return [(t + offset, e) for t, e in k2.successors(s - offset)]
 
-    partition = _refine(states, labels, post)
+    partition = _refine(states, label, successors)
     blocks1 = {partition.block_of[s] for s in k1.initial}
     blocks2 = {partition.block_of[s + offset] for s in k2.initial}
-    return blocks1 <= blocks2 and blocks2 <= blocks1
+    return blocks1 == blocks2

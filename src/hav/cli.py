@@ -247,7 +247,7 @@ def _dispatch(args) -> int:
         automaton = _pick_automaton(doc, args)
         rg = region_graph(automaton, k=args.k)
         if args.stats or not args.dot:
-            print(f"states: {rg.kripke.state_count}")
+            print(f"states: {len(rg.states)}")
             print(f"bound: {rg.bound}")
             print(f"deadlocks: {len(rg.deadlocks)}")
         if args.dot:
@@ -264,8 +264,8 @@ def _dispatch(args) -> int:
         doc = _load_model(args.model)
         automaton = _pick_automaton(doc, args)
         rg = region_graph(automaton)
-        quotient, partition = coarsest_quotient(rg.kripke)
-        print(f"states: {rg.kripke.state_count}")
+        quotient, partition = coarsest_quotient(rg)
+        print(f"states: {len(rg.states)}")
         print(f"blocks: {partition.size}")
         if args.dot:
             sys.stdout.write(textfmt.emit_dot(quotient))

@@ -86,10 +86,10 @@ def product(network: Network) -> HybridAutomaton:
                                             for c in comps)))
     variables = frozenset().union(*(c.variables for c in comps))
 
+    syncs = [(action, sorted(sync_set(network, action))) for action in sorted(network.alphabet)]
     transitions: list[Transition] = []
     for combo in modes:
-        for action in sorted(network.alphabet):
-            moving = [i for i, c in enumerate(comps) if action in c.actions]
+        for action, moving in syncs:
             choices = []
             for i in moving:
                 local = [t for t in comps[i].transitions
@@ -155,12 +155,12 @@ def reachable_modes(a: HybridAutomaton) -> frozenset:
     return frozenset(found.nodes)
 
 
-def flatten_modes(a: HybridAutomaton, separator: str = "__") -> HybridAutomaton:
+def flatten_modes(a: HybridAutomaton) -> HybridAutomaton:
     """Rename tuple mode ids to flat identifier strings (for printing)."""
 
     def flat(mode) -> str:
         if isinstance(mode, tuple):
-            return separator.join(flat(m) for m in mode)
+            return "__".join(flat(m) for m in mode)
         return str(mode)
 
     mapping = {m: flat(m) for m in a.modes}

@@ -147,12 +147,6 @@ def propositions(f: LtlFormula) -> frozenset[str]:
     return propositions(f.left) | propositions(f.right)
 
 
-def negate(f: LtlFormula) -> LtlFormula:
-    if isinstance(f, Not):
-        return f.operand
-    return Not(f)
-
-
 def to_nnf(f: LtlFormula) -> LtlFormula:
     """Push negations to propositions; Implies becomes !a || b.
 

@@ -28,7 +28,8 @@ from .semantics import PathQuery, Run, initial_configuration, path_feasible, sim
 Node = tuple[int, int]  # (kripke state, büchi state)
 
 #: what `check` reads of a structure: `initial`, `propositions` and, per
-#: state or transition index, `successors`, `label`, `name` and `action`
+#: state or transition index, `successors`, `label`, `name` and `action`;
+#: `bisim` reads `states`, `initial`, `propositions`, `label` and `successors`
 Structure = Union[FiniteKripke, RegionGraph]
 
 
@@ -196,8 +197,6 @@ def check_timed(a: HybridAutomaton, phi: LtlFormula,
     else:
         for unroll in range(1, MAX_LOOP_UNROLL + 1):
             edges = stem_real + loop_real * unroll
-            if not edges:
-                break
             feasibility = path_feasible(a, PathQuery(tuple(edges)))
             if feasibility.feasible:
                 run = simulate(a, list(zip(feasibility.delays, edges)))

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import EntryValueAmbiguous, HavError, NotInitialized, WrongClass
 from .model import (
-    AtomicConstraint, AutomatonClass, FLIPPED, HybridAutomaton, JumpPredicate,
+    _CMP, AtomicConstraint, AutomatonClass, FLIPPED, HybridAutomaton, JumpPredicate,
     Predicate, RateConst, RateInterval, Transition, classify, is_initialized,
     mode_text,
 )
@@ -223,12 +223,6 @@ class ScaleCertificate:
 _AMBIGUOUS = object()
 
 
-def _static_truth(value: Fraction, op: str, const: Fraction) -> bool:
-    atom = {"<": value < const, "<=": value <= const, "=": value == const,
-            ">=": value >= const, ">": value > const}
-    return atom[op]
-
-
 def multirate_to_timed(a: HybridAutomaton) -> tuple[HybridAutomaton, ScaleCertificate]:
     """Rescale every variable to a unit-rate clock, adjusting the constraints.
 
@@ -287,7 +281,7 @@ def multirate_to_timed(a: HybridAutomaton) -> tuple[HybridAutomaton, ScaleCertif
         r = rates[(mode, atom.var)]
         k = Fraction(atom.const)
         if r == 0:
-            return _static_truth(c, atom.op, k)
+            return _CMP[atom.op](c, k)
         op = atom.op if r > 0 else FLIPPED[atom.op]
         bound = (k - c) / r
         if bound < 0:

@@ -9,7 +9,8 @@ structure for diagonal-free timed automata.
 The region graph is walked on demand: a model checker asks for the
 successors of the states it reaches, and the breadth-first walk goes only as
 far as those states, giving the same state and transition ids as a full
-build. Reading `kripke` forces the walk to the end.
+build. Reading `states` finishes the walk; `kripke` copies the finished
+graph into a `FiniteKripke` for DOT output.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ class Region:
                 raise ValueError(f"integer part of {name} out of range")
             if i == self.k and name not in self.zero:
                 raise ValueError(f"{name} has integer part k but a nonzero fraction")
-
-    @property
-    def clocks(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self.ipart) | self.above
 
     def integer_part(self, clock: str) -> Optional[int]:
         for name, i in self.ipart:
@@ -185,12 +182,6 @@ def region_count_bound(modes: int, clocks: int, k: int) -> int:
     return modes * factorial(clocks) * (2 ** clocks) * ((2 * k + 2) ** clocks)
 
 
-#: transition index that `RegionGraph.successors` gives a deadlock's stutter
-#: self-loop; its index in `RegionGraph.kripke` is known only once every
-#: other transition is
-STUTTER_EDGE = -1
-
-
 def _walked() -> bool:
     return False
 
@@ -203,20 +194,24 @@ class RegionGraph:
     `successors(s)`, `label(s)`, `mode(s)`, `name(s)`, `edge_ref(e)` and
     `action(e)` walk the graph only until state s, or the state behind
     transition e, has been walked, so a search that stops early leaves the
-    rest unbuilt. `state_info`, `edge_refs`, `deadlocks` and `kripke` finish
-    the walk; `kripke` is built once, from the walked lists.
+    rest unbuilt. `states`, `state_info`, `edge_refs`, `deadlocks` and
+    `kripke` finish the walk.
 
-    `state_info[i]` is the (mode, region) behind Kripke state i;
-    `edge_refs[j]` is the automaton transition behind Kripke transition j
-    (None for the stutter self-loops added on deadlock states).
-    `propositions` are the ones the labeling declares, reached or not.
+    Transitions are numbered when the walk reaches their source, and so is
+    the stutter self-loop of a deadlock state: every accessor, `kripke`
+    included, uses the one numbering. `state_info[i]` is the (mode, region)
+    behind state i; `edge_refs[j]` is the automaton transition behind
+    transition j (None for a stutter self-loop). `kripke` is a
+    `FiniteKripke` copy of the finished graph, built for DOT output.
+    `propositions` are the ones the automaton declares, reached or not.
     """
 
-    def __init__(self, a: HybridAutomaton, labels: Mapping, k: int):
+    def __init__(self, a: HybridAutomaton, k: int):
         self.k = k
         self.bound = region_count_bound(len(a.modes), len(a.variables), k)
-        self.propositions = frozenset().union(*labels.values())
+        self.propositions = a.propositions
         self._automaton = a
+        self._mode_labels = {m: frozenset(a.labels[m]) for m in a.modes}
 
         # regions by id; successor[i] is the id of regions[i]'s time successor
         # (-1 until first asked for), equal to i at the all-above fixpoint
@@ -233,15 +228,12 @@ class RegionGraph:
                 successor.append(-1)
             return got
 
-        # states by id, keyed by (mode, region id); per state, its label,
-        # `fired`, the (edge index, target state) pairs its region fires,
-        # and `later`, the state of the next region on its chain (-1 where
-        # the chain ends); None until a walk first passes the state
+        # states by id, keyed by (mode, region id); per state, `fired`, the
+        # (edge index, target state) pairs its region fires, and `later`,
+        # the state of the next region on its chain (-1 where the chain
+        # ends); None until a walk first passes the state
         ids: dict[tuple, int] = {}
         keys: list[tuple] = []
-        info: list[tuple[object, Region]] = []
-        mode_labels: dict = {}
-        state_labels: list[frozenset[str]] = []
         fired: list[Optional[list[tuple[int, int]]]] = []
         later: list[Optional[int]] = []
         queue: deque = deque()
@@ -250,14 +242,9 @@ class RegionGraph:
             key = (mode, rid)
             got = ids.get(key)
             if got is None:
-                got = len(info)
+                got = len(keys)
                 ids[key] = got
                 keys.append(key)
-                info.append((mode, regions[rid]))
-                label = mode_labels.get(mode)
-                if label is None:
-                    label = mode_labels[mode] = frozenset(labels[mode])
-                state_labels.append(label)
                 fired.append(None)
                 later.append(None)
                 queue.append(got)
@@ -302,9 +289,10 @@ class RegionGraph:
             return following
 
         # per walked state, its sorted (target, transition index) pairs;
-        # per transition, in index order, the automaton edge's index
+        # per transition, in index order, the automaton edge's index (None
+        # for a stutter self-loop)
         out: list[list[tuple[int, int]]] = []
-        edge_of: list[int] = []
+        edge_of: list[Optional[int]] = []
 
         def walk() -> bool:
             """Walk the next queued state; False once every state is walked.
@@ -313,27 +301,28 @@ class RegionGraph:
             chain. The first walk through a state interns each landed state,
             then the state itself, in chain order; later walks replay the
             memoised lists. Queued states come in id order, so src's
-            transitions are numbered after those of every lower id.
+            transitions, or its stutter self-loop if it fires none, are
+            numbered after those of every lower id.
             """
             if not queue:
                 return False
             src = state = queue.popleft()
             if fired[src] is None:
                 fired[src] = fire(*keys[src])
-            pairs: dict[tuple[int, int], None] = {}
+            pairs: dict[tuple, None] = {}
             while state >= 0:
                 for pair in fired[state]:
                     pairs[pair] = None
                 following = later[state]
                 state = step(state) if following is None else following
             base = len(edge_of)
+            pairs = pairs or {(None, src): None}
             edge_of.extend([ei for ei, _ in pairs])
-            edges = sorted([(dst, e) for e, (_, dst) in enumerate(pairs, base)])
-            out.append(edges or [(src, STUTTER_EDGE)])
+            out.append(sorted([(dst, e) for e, (_, dst) in enumerate(pairs, base)]))
             return True
 
-        self._info = info
-        self._labels = state_labels
+        self._regions = regions
+        self._keys = keys
         self._out = out
         self._edge_of = edge_of
         self._walk = walk
@@ -362,23 +351,31 @@ class RegionGraph:
         """How many states have been walked so far: every id below it."""
         return len(self._out)
 
+    @property
+    def states(self) -> range:
+        """Every state id."""
+        self._finish()
+        return range(len(self._out))
+
     def successors(self, state: int) -> list[tuple[int, int]]:
-        """Sorted (target, transition index) pairs; a deadlock's stutter
-        self-loop has the index STUTTER_EDGE."""
+        """Sorted (target, transition index) pairs; a deadlock's only pair
+        is its stutter self-loop."""
         out = self._out
         if state >= len(out):
             self._walk_to(state)
         return out[state]
 
     def mode(self, state: int):
-        self._walk_to(state)
-        return self._info[state][0]
+        keys = self._keys
+        if state >= len(keys):
+            self._walk_to(state)
+        return keys[state][0]
 
     def label(self, state: int) -> frozenset[str]:
-        labels = self._labels
-        if state >= len(labels):
+        keys = self._keys
+        if state >= len(keys):
             self._walk_to(state)
-        return labels[state]
+        return self._mode_labels[keys[state][0]]
 
     def name(self, state: int) -> str:
         """The state's name in a counterexample: its mode."""
@@ -387,11 +384,11 @@ class RegionGraph:
     def edge_ref(self, edge: int) -> Optional[Transition]:
         """The automaton transition behind transition `edge`; None for a
         stutter self-loop."""
-        while edge >= len(self._edge_of) and self._walk():
+        edge_of = self._edge_of
+        while edge >= len(edge_of) and self._walk():
             pass
-        if 0 <= edge < len(self._edge_of):
-            return self._automaton.transitions[self._edge_of[edge]]
-        return None
+        ei = edge_of[edge]
+        return None if ei is None else self._automaton.transitions[ei]
 
     def action(self, edge: int) -> str:
         ref = self.edge_ref(edge)
@@ -400,65 +397,64 @@ class RegionGraph:
     @property
     def state_info(self) -> list[tuple[object, Region]]:
         self._finish()
-        return self._info
+        regions = self._regions
+        return [(mode, regions[rid]) for mode, rid in self._keys]
 
     @functools.cached_property
     def deadlocks(self) -> frozenset[int]:
-        self._finish()
-        return frozenset(s for s, edges in enumerate(self._out) if edges[0][1] == STUTTER_EDGE)
+        edge_of, out = self._edge_of, self._out
+        return frozenset(s for s in self.states if edge_of[out[s][0][1]] is None)
 
     @functools.cached_property
     def edge_refs(self) -> list[Optional[Transition]]:
         self._finish()
         transitions = self._automaton.transitions
-        return [transitions[ei] for ei in self._edge_of] + [None] * len(self.deadlocks)
+        return [None if ei is None else transitions[ei] for ei in self._edge_of]
 
     @functools.cached_property
     def kripke(self) -> FiniteKripke:
-        """The finished graph; stutter self-loops are numbered last, in state order."""
+        """The finished graph as a FiniteKripke, for DOT output."""
         refs = self.edge_refs
-        adjacency = dict(enumerate(self._out))
-        for e, s in enumerate(sorted(self.deadlocks), len(self._edge_of)):
-            adjacency[s] = [(s, e)]
         transitions: list = [None] * len(refs)
-        for s, edges in adjacency.items():
+        for s, edges in enumerate(self._out):
             for t, e in edges:
                 ref = refs[e]
                 transitions[e] = KripkeTransition(
                     s, STUTTER_ACTION if ref is None else ref.action, t)
+        info = self.state_info
         return FiniteKripke(
-            states=tuple(range(len(self._info))),
+            states=tuple(self.states),
             initial=self.initial,
             transitions=tuple(transitions),
-            labels=dict(enumerate(self._labels)),
-            display={s: f"{mode_text(m)} | {r}" for s, (m, r) in enumerate(self._info)},
+            labels={s: self._mode_labels[m] for s, (m, _) in enumerate(info)},
+            display={s: f"{mode_text(m)} | {r}" for s, (m, r) in enumerate(info)},
             propositions=self.propositions,
-            adjacency=adjacency,
+            adjacency=dict(enumerate(self._out)),
         )
 
 
-def region_graph(a: HybridAutomaton, labeling: Optional[dict] = None,
-                 k: Optional[int] = None) -> RegionGraph:
+def region_graph(a: HybridAutomaton, k: Optional[int] = None) -> RegionGraph:
     """Region graph of a diagonal-free timed automaton, walked on demand.
 
     One Kripke transition per (delay*, edge) pair: from (m, r), each region
     r' on r's invariant-respecting time-successor chain may fire each edge
     enabled at r'. Every region on that chain is interned as a state too.
-    Deadlock states get a reserved stutter self-loop so every state has an
-    infinite trace. The states declare the propositions of `labeling`
-    (default: the automaton's labels), reached or not.
+    A deadlock state gets a stutter self-loop so every state has an infinite
+    trace; the loop is numbered where the walk reaches the state, like the
+    transitions of any other state. The states declare the automaton's
+    propositions, reached or not.
 
     Only the initial states are built here; the accessors of the result
-    walk the rest breadth first as they are asked, and `kripke` forces it.
-    Successors and firing lists are memoised per region. Each distinct
-    region is built once (and validated then, like every Region), gets a
-    small id, and has its time successor computed once per id. Each state,
-    a (mode, region id) pair, checks its invariant, guards, resets and
-    target invariants once, the first time a walk reaches it, and keeps the
-    edges it fires and the next state on its chain; later walks replay
-    those lists. The first walk interns in chain order (each landed state,
-    then the chain region), so state ids and the order of transitions are
-    those of walking every chain afresh, however far the walk has gone.
+    walk the rest breadth first as they are asked. Successors and firing
+    lists are memoised per region. Each distinct region is built once (and
+    validated then, like every Region), gets a small id, and has its time
+    successor computed once per id. Each state, a (mode, region id) pair,
+    checks its invariant, guards, resets and target invariants once, the
+    first time a walk reaches it, and keeps the edges it fires and the next
+    state on its chain; later walks replay those lists. The first walk
+    interns in chain order (each landed state, then the chain region), so
+    state ids and the order of transitions are those of walking every chain
+    afresh, however far the walk has gone.
     """
     report = classify(a)
     if report.klass != AutomatonClass.TIMED:
@@ -475,4 +471,4 @@ def region_graph(a: HybridAutomaton, labeling: Optional[dict] = None,
     kk = max_constant(a) if k is None else k
     if kk < max_constant(a):
         raise ValueError(f"k={kk} is below the automaton's maximum constant")
-    return RegionGraph(a, labeling if labeling is not None else a.labels, kk)
+    return RegionGraph(a, kk)

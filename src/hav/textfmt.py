@@ -181,7 +181,7 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {_shown(tok)}", tok.span)
         return self.advance()
 
-    def ident(self, what: str = "identifier") -> _Token:
+    def ident(self, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != "ident":
             raise ParseError(f"expected {what}, found {_shown(tok)}", tok.span)

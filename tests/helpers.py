@@ -43,14 +43,16 @@ def load_model(name: str) -> ModelDocument:
 
 _LOGIN_NAMES = re.compile(r"\b(login|x|standby|valid|delay|error|connect|user_name|restart"
                           r"|pw_fail|pw_match|log_error)\b")
+_LOGIN_CONSTANTS = re.compile(r"\b(60|10)\b")
 
 
 def login_copies(tags, limit: int, backoff: int) -> HybridAutomaton:
     """The product of copies of models/login.hav, every name suffixed by
     one of `tags`, with the constants 60 and 10 set to `limit` and `backoff`."""
     source = (MODELS / "login.hav").read_text()
-    parts = [_LOGIN_NAMES.sub(rf"\g<1>{tag}", source)
-             .replace("60", str(limit)).replace("10", str(backoff)) for tag in tags]
+    constants = {"60": str(limit), "10": str(backoff)}
+    source = _LOGIN_CONSTANTS.sub(lambda m: constants[m.group()], source)
+    parts = [_LOGIN_NAMES.sub(rf"\g<1>{tag}", source) for tag in tags]
     members = ", ".join(f"login{tag}" for tag in tags)
     doc = parse_model("\n".join(parts) + f"network all {{ {members} }}\n")
     return product(doc.network("all"))
@@ -176,8 +178,10 @@ def reference_region_graph(a: HybridAutomaton, k: int) -> dict:
     From each state (m, r), walk r's whole time-successor chain while m's
     invariant holds; at each chain region fire every edge of m whose guard
     holds and whose landed region meets the target's invariant, interning
-    the landed state, then intern the chain region itself. Returns the
-    parts of `region_graph`'s result that must come out identical.
+    the landed state, then intern the chain region itself. A state that
+    fires nothing gets its stutter self-loop there, in the place of its
+    transitions. Returns the parts of `region_graph`'s result that must
+    come out identical.
     """
     ids: dict = {}
     info: list = []
@@ -194,10 +198,13 @@ def reference_region_graph(a: HybridAutomaton, k: int) -> dict:
     initial = [intern(m, start) for m in a.modes
                if m in a.initial_modes and region_satisfies(start, a.invariant(m))]
     edge_index = {t: i for i, t in enumerate(a.transitions)}
-    fired: dict = {}
+    transitions: list = []
+    edge_refs: list = []
+    deadlocks = set()
     while queue:
         mode, region = queue.popleft()
         src = ids[(mode, region)]
+        fired: dict = {}
         for r in time_successor_chain(region):
             if not region_satisfies(r, a.invariant(mode)):
                 break
@@ -206,14 +213,16 @@ def reference_region_graph(a: HybridAutomaton, k: int) -> dict:
                     continue
                 landed = reset_region(r, edge.jump.reset)
                 if region_satisfies(landed, a.invariant(edge.target)):
-                    fired[(src, edge_index[edge], intern(edge.target, landed))] = None
+                    fired[(edge_index[edge], intern(edge.target, landed))] = None
             intern(mode, r)
+        for ei, dst in fired:
+            transitions.append((src, a.transitions[ei].action, dst))
+            edge_refs.append(a.transitions[ei])
+        if not fired:
+            transitions.append((src, STUTTER_ACTION, src))
+            edge_refs.append(None)
+            deadlocks.add(src)
 
-    transitions = [(src, a.transitions[ei].action, dst) for src, ei, dst in fired]
-    edge_refs = [a.transitions[ei] for _, ei, _ in fired]
-    deadlocks = sorted(set(range(len(info))) - {src for src, _, _ in fired})
-    transitions += [(s, STUTTER_ACTION, s) for s in deadlocks]
-    edge_refs += [None] * len(deadlocks)
     return {
         "state_info": info, "initial": frozenset(initial), "transitions": transitions,
         "edge_refs": edge_refs, "deadlocks": frozenset(deadlocks),

@@ -26,9 +26,11 @@ class TestCoarsestQuotient:
     def test_region_graph_quotient_bisimilar_and_smaller(self):
         login = load_model("login").automata[0]
         rg = region_graph(login)
-        quotient, partition = coarsest_quotient(rg.kripke)
-        assert partition.size <= rg.kripke.state_count
-        assert is_bisimilar(rg.kripke, quotient)
+        quotient, partition = coarsest_quotient(rg)
+        assert partition.size <= len(rg.states)
+        assert is_bisimilar(rg, quotient)
+        assert is_bisimilar(rg, rg.kripke)
+        assert coarsest_quotient(rg.kripke) == (quotient, partition)
 
     def test_requotient_is_identity(self):
         rng = random.Random(81)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import hav.cli
 from hav.cli import run_cli
+from hav.regions import region_graph
 from hav.textfmt import MAX_LTL_DEPTH
 from conftest import MODELS
 
@@ -170,6 +172,36 @@ def test_compose_output_reparses(capsys, tmp_path):
     from hav.textfmt import parse_model
     doc = parse_model(out_file.read_text())
     assert len(doc.automata[0].modes) == 27
+
+
+@pytest.mark.parametrize("model, network, formula, code", [
+    (LOGIN, [], "F standby", 0),
+    (LOGIN, [], "G F standby", 1),
+    (JOBSHOP_TIMED, ["--network", "all"], "F j1_finish", 0),
+    (JOBSHOP_TIMED, ["--network", "all"], "!(F (j1_finish && j2_finish))", 1),
+])
+def test_check_dot_prints_the_regions_dot_first(capsys, model, network, formula, code):
+    _, dot, _ = run(capsys, "regions", model, *network, "--dot")
+    got, out, _ = run(capsys, "check", model, *network, "--formula", formula, "--dot")
+    assert got == code
+    assert dot.startswith("digraph kripke {\n")
+    assert out.startswith(dot)
+    assert out[len(dot):].startswith("HOLDS\n" if code == 0 else "VIOLATED\n")
+
+
+def test_only_dot_output_copies_the_region_graph(capsys, monkeypatch):
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(region_graph(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(hav.cli, "region_graph", recorded)
+    for argv in (["regions", LOGIN], ["regions", LOGIN, "--stats"], ["quotient", LOGIN],
+                 ["quotient", LOGIN, "--dot"], ["check", LOGIN, "--formula", "F standby"],
+                 ["regions", LOGIN, "--dot"]):
+        assert run(capsys, *argv)[0] == 0
+    assert ["kripke" in rg.__dict__ for rg in built] == [False] * 5 + [True]
 
 
 def test_quotient(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hav.errors import DiagonalUnsupported, NegativeClock, WrongClass
-from hav.kripke import STUTTER_ACTION
+from hav.kripke import STUTTER_ACTION, KripkeTransition
 from hav.model import (
     AtomicConstraint, HybridAutomaton, JumpPredicate, Predicate, Transition,
     Valuation, max_constant,
@@ -239,6 +239,25 @@ class TestRegionGraphOnDemand:
         assert 0 < rg.walked < 200
         assert rg.kripke.state_count == rg.walked == 4550
 
+    def test_lasso_edges_use_the_kripke_numbering(self):
+        # the loop of login's `G F standby` lasso is a stutter self-loop, and
+        # the search stops before the walk ends
+        login = load_model("login").automata[0]
+        rg = region_graph(login)
+        verdict = check_timed(login, parse_ltl("G F standby"), rg=rg)
+        assert not verdict.holds
+        walked = rg.walked
+        assert 0 < walked < len(rg.states)
+        cx = verdict.counterexample
+        lasso = cx.product
+        cycle = lasso.loop_nodes + lasso.loop_nodes[:1]
+        steps = list(zip(lasso.stem_nodes, lasso.stem_nodes[1:], lasso.stem_edges,
+                         cx.stem))
+        steps += zip(cycle, cycle[1:], lasso.loop_edges, cx.loop)
+        assert any(step.action == STUTTER_ACTION for *_, step in steps)
+        for (s, _), (t, _), e, step in steps:
+            assert rg.kripke.transitions[e] == KripkeTransition(s, step.action, t)
+
     def test_lazy_and_forced_graphs_agree(self):
         rng = random.Random(78)
         for _ in range(100):
@@ -252,6 +271,13 @@ class TestRegionGraphOnDemand:
             if not lazy_verdict.holds:
                 assert emit_counterexample(lazy_verdict.counterexample) \
                     == emit_counterexample(forced_verdict.counterexample)
+
+
+def test_login_copies_sets_both_constants():
+    # a limit of 10 must not be taken for the backoff constant
+    pair = login_copies(["_a", "_b"], 10, 2)
+    consts = {atom.const for t in pair.transitions for atom in t.guard.conjuncts}
+    assert consts == {2, 10}
 
 
 def test_region_count_bound_values():
