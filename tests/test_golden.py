@@ -1,17 +1,24 @@
-"""Golden outputs: `hav check`, `regions` and `quotient` keep their bytes.
+"""Golden outputs: `hav check`, `regions` and `quotient` keep their bytes,
+and the LTL layer keeps its values.
 
-Each case pins the exit code and the sha256 of stdout, and for `--json` runs
-also the sha256 of the counterexample file. The digests were recorded before
-the graph searches moved into `hav.graph`; a change that alters any of
-these outputs must say why.
+Each CLI case pins the exit code and the sha256 of stdout, and for `--json`
+runs also the sha256 of the counterexample file. The digests were recorded
+before the graph searches moved into `hav.graph`. The LTL digest covers
+`str`, both NNFs, `propositions`, `is_nnf` and the whole Büchi translation of
+seeded random formulas; it was recorded before the formula passes moved onto
+`ltl.fold`. A change that alters any of these outputs must say why.
 """
 
 import hashlib
+import random
 
 import pytest
 
+from hav.buchi import translate_to_buchi
 from hav.cli import run_cli
+from hav.ltl import Always, And, Eventually, Implies, Not, Prop, is_nnf, propositions, to_nnf
 from conftest import MODELS
+from helpers import random_formula
 
 LOGIN_FORMULAS = [
     "! F connect",
@@ -114,3 +121,36 @@ def test_output_bytes_unchanged(capsys, tmp_path, ident, argv, with_json):
     if with_json:
         got += (hashlib.sha256(cx.read_bytes()).hexdigest() if cx.exists() else None,)
     assert got == GOLDEN[ident]
+
+
+def _ltl_inputs():
+    rng = random.Random(20151)
+    for _ in range(600):
+        yield random_formula(rng, rng.randint(1, 12), ["p", "q", "r"])
+    conj = [Always(Eventually(Prop(f"p{i}"))) for i in range(6)]
+    fair = conj[0]
+    for g in conj[1:]:
+        fair = And(fair, g)
+    yield fair
+    assumptions = conj[0]
+    for g in conj[1:5]:
+        assumptions = And(assumptions, g)
+    yield Not(Implies(assumptions, Always(Eventually(Prop("q")))))
+
+
+def _ltl_record(phi) -> tuple:
+    b = translate_to_buchi(phi)
+    buchi = (b.states, sorted(b.initial),
+             [(t.source, sorted(t.guard.must), sorted(t.guard.must_not), t.target)
+              for t in b.transitions],
+             sorted(b.accepting), sorted(b.ap), sorted(b.display.items()))
+    return (str(phi), repr(to_nnf(phi)), repr(to_nnf(Not(phi))),
+            sorted(propositions(phi)), is_nnf(phi), buchi)
+
+
+LTL_GOLDEN = "0cfeeca26fa33ff9c38f27c55bfe86a1a0eca5eac6e42d94f1469c1580b135f6"
+
+
+def test_ltl_layer_values_unchanged():
+    digest = hashlib.sha256(repr([_ltl_record(phi) for phi in _ltl_inputs()]).encode("utf-8"))
+    assert digest.hexdigest() == LTL_GOLDEN
