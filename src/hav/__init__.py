@@ -21,7 +21,7 @@ from .model import (
     HybridAutomaton, JumpPredicate, Predicate, RateAffine, RateConst,
     RateInterval, Transition, Valuation, classify, is_initialized, max_constant,
 )
-from .rational import Rational, format_rational, parse_rational, sqrt_rational
+from .rational import format_rational, parse_rational, sqrt_rational
 from .reductions import ScaleCertificate, multirate_to_timed, rect_to_multirate
 from .regions import (
     Region, RegionGraph, region_count_bound, region_graph,

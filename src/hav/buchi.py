@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .graph import strongly_connected_components
 from .ltl import (
     Always, And, Eventually, FalseConst, Lasso, LtlFormula, Next, Not, Or,
-    Prop, Release, TrueConst, Until, propositions, to_nnf,
+    Prop, Release, TrueConst, Until, fold, propositions, to_nnf,
 )
 
 
@@ -69,47 +69,22 @@ class BuchiAutomaton:
         return [t for t, g in self._adjacency[state] if g.matches(letter)]
 
 
-def _strip_sugar(f: LtlFormula) -> LtlFormula:
+def _core(f: LtlFormula, kids: list[LtlFormula]) -> LtlFormula:
     """Rewrite an NNF formula into the tableau core: F a = true U a, G a = false R a."""
-    if isinstance(f, (TrueConst, FalseConst, Prop)):
-        return f
-    if isinstance(f, Not):
-        return f  # NNF: operand is a proposition
-    if isinstance(f, Next):
-        return Next(_strip_sugar(f.operand))
     if isinstance(f, Eventually):
-        return Until(TrueConst(), _strip_sugar(f.operand))
+        return Until(TrueConst(), kids[0])
     if isinstance(f, Always):
-        return Release(FalseConst(), _strip_sugar(f.operand))
-    if isinstance(f, And):
-        return And(_strip_sugar(f.left), _strip_sugar(f.right))
-    if isinstance(f, Or):
-        return Or(_strip_sugar(f.left), _strip_sugar(f.right))
+        return Release(FalseConst(), kids[0])
+    if isinstance(f, Not) or not kids:
+        return f  # NNF: a negation's operand is a proposition
+    return type(f)(*kids)
+
+
+def _untils_in_order(f: LtlFormula, kids: list[list[Until]]) -> list[Until]:
+    """Until subformulas in in-order position, repeats included."""
     if isinstance(f, Until):
-        return Until(_strip_sugar(f.left), _strip_sugar(f.right))
-    assert isinstance(f, Release)
-    return Release(_strip_sugar(f.left), _strip_sugar(f.right))
-
-
-def _until_subformulas(f: LtlFormula) -> list[Until]:
-    """Until subformulas in a fixed in-order traversal (acceptance-set order)."""
-    out: list[Until] = []
-    seen: set[LtlFormula] = set()
-
-    def walk(g: LtlFormula):
-        if g in seen:
-            return
-        seen.add(g)
-        if isinstance(g, (And, Or, Until, Release)):
-            walk(g.left)
-            if isinstance(g, Until):
-                out.append(g)
-            walk(g.right)
-        elif isinstance(g, (Not, Next)):
-            walk(g.operand)
-
-    walk(f)
-    return out
+        return kids[0] + [f] + kids[1]
+    return [u for k in kids for u in k]
 
 
 class _Node:
@@ -213,14 +188,15 @@ def translate_to_buchi(phi: LtlFormula) -> BuchiAutomaton:
     May be exponential in the formula size. A fresh non-accepting initial
     state carries the first letter's constraints on its outgoing edges.
     """
-    core = _strip_sugar(to_nnf(phi))
+    core = fold(to_nnf(phi), _core)
     ap = propositions(core)
     counter = itertools.count()
     nodes: list[_Node] = []
     root = _Node(next(counter), {_INIT}, {core}, set(), set())
     _expand(root, nodes, counter)
 
-    untils = _until_subformulas(core)
+    # one acceptance set per distinct Until, ordered by its first occurrence
+    untils = list(dict.fromkeys(fold(core, _untils_in_order)))
     acc_sets = [
         frozenset(nd.nid for nd in nodes if u.right in nd.old or u not in nd.old)
         for u in untils

@@ -67,7 +67,7 @@ def _script_steps(path: str) -> list[tuple]:
             raise ParseError(f'step {i}: "target" must be a mode name string', span)
         try:
             delay = parse_rational(str(raw.get("delay", "0")))
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise ParseError(f"step {i}: bad delay {raw['delay']!r}", span) from None
         out.append((delay, raw["action"], raw.get("target")))
     return out

@@ -1,150 +1,193 @@
 """LTL syntax tree, negation normal form, and direct semantics on lassos.
 
+`fold` is the one traversal of the syntax tree: a post-order walk on an
+explicit stack that combines each node with its children's results. Text,
+NNF, `propositions`, `is_nnf`, the tableau's passes in `buchi` and the
+parser's depth check are folds, so none of them recurses.
+
 eval_lasso is the module's oracle: a position-set evaluation of each
 subformula over the finite presentation stem + loop^omega. The tableau
-translation in `buchi` is tested against it, never the other way around.
+translation in `buchi` is tested against it, never the other way around,
+so it keeps its own recursive walk and shares no code with the tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, TypeVar, Union
 
 LtlFormula = Union[
     "TrueConst", "FalseConst", "Prop", "Not", "And", "Or", "Implies",
     "Next", "Eventually", "Always", "Until", "Release",
 ]
+T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class TrueConst:
+class _Formula:
+    """Base of the syntax-tree nodes: children, and text through `fold`."""
+
+    def children(self) -> tuple:
+        return ()
+
     def __str__(self):
-        return "true"
+        return fold(self, _text)
 
 
 @dataclass(frozen=True)
-class FalseConst:
-    def __str__(self):
-        return "false"
+class _Unary(_Formula):
+    operand: LtlFormula
+
+    def children(self) -> tuple:
+        return (self.operand,)
 
 
 @dataclass(frozen=True)
-class Prop:
+class _Binary(_Formula):
+    left: LtlFormula
+    right: LtlFormula
+
+    def children(self) -> tuple:
+        return (self.left, self.right)
+
+
+@dataclass(frozen=True)
+class TrueConst(_Formula):
+    pass
+
+
+@dataclass(frozen=True)
+class FalseConst(_Formula):
+    pass
+
+
+@dataclass(frozen=True)
+class Prop(_Formula):
     name: str
 
-    def __str__(self):
-        return self.name
+
+@dataclass(frozen=True)
+class Not(_Unary):
+    pass
 
 
 @dataclass(frozen=True)
-class Not:
-    operand: LtlFormula
-
-    def __str__(self):
-        return f"!{_wrap(self.operand)}"
+class And(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class And:
-    left: LtlFormula
-    right: LtlFormula
-
-    def __str__(self):
-        return f"{_wrap_bin(self.left, 3)} && {_wrap_bin(self.right, 3)}"
+class Or(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Or:
-    left: LtlFormula
-    right: LtlFormula
-
-    def __str__(self):
-        return f"{_wrap_bin(self.left, 2)} || {_wrap_bin(self.right, 2)}"
+class Implies(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Implies:
-    left: LtlFormula
-    right: LtlFormula
-
-    def __str__(self):
-        return f"{_wrap_bin(self.left, 2)} -> {_wrap_bin(self.right, 1)}"
+class Next(_Unary):
+    pass
 
 
 @dataclass(frozen=True)
-class Next:
-    operand: LtlFormula
-
-    def __str__(self):
-        return f"X {_wrap(self.operand)}"
+class Eventually(_Unary):
+    pass
 
 
 @dataclass(frozen=True)
-class Eventually:
-    operand: LtlFormula
-
-    def __str__(self):
-        return f"F {_wrap(self.operand)}"
+class Always(_Unary):
+    pass
 
 
 @dataclass(frozen=True)
-class Always:
-    operand: LtlFormula
-
-    def __str__(self):
-        return f"G {_wrap(self.operand)}"
+class Until(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Until:
-    left: LtlFormula
-    right: LtlFormula
-
-    def __str__(self):
-        return f"{_wrap(self.left)} U {_wrap(self.right)}"
-
-
-@dataclass(frozen=True)
-class Release:
+class Release(_Binary):
     """Dual of Until; internal to NNF and the tableau, not in the surface grammar."""
 
-    left: LtlFormula
-    right: LtlFormula
 
-    def __str__(self):
-        return f"{_wrap(self.left)} R {_wrap(self.right)}"
+def fold(phi: LtlFormula, combine: Callable[[LtlFormula, list], T]) -> T:
+    """combine(f, [results of f's children]) for every node f of phi, children
+    first, on an explicit stack; the result for phi itself is returned.
+
+    Results are memoised by node identity, so a subtree shared by reference
+    is combined once and no subtree is ever hashed.
+    """
+    done: dict[int, T] = {}
+    stack = [phi]
+    while stack:
+        f = stack[-1]
+        if id(f) in done:
+            stack.pop()
+            continue
+        kids = f.children()
+        waiting = [k for k in kids if id(k) not in done]
+        if waiting:
+            stack += waiting
+            continue
+        stack.pop()
+        done[id(f)] = combine(f, [done[id(k)] for k in kids])
+    return done[id(phi)]
 
 
-_ATOMIC = (TrueConst, FalseConst, Prop)
-
-
-def _wrap(f: LtlFormula) -> str:
-    """Parenthesize operands of unary operators unless atomic or unary."""
-    if isinstance(f, _ATOMIC + (Not, Next, Eventually, Always)):
-        return str(f)
-    return f"({f})"
-
+_SYMBOL = {
+    TrueConst: "true", FalseConst: "false",
+    Not: "!", Next: "X ", Eventually: "F ", Always: "G ",
+    And: " && ", Or: " || ", Implies: " -> ", Until: " U ", Release: " R ",
+}
 
 # precedence levels: -> is 1, || is 2, && is 3, U is 4, unary is 5
 _LEVEL = {Implies: 1, Or: 2, And: 3, Until: 4, Release: 4}
 
 
-def _wrap_bin(f: LtlFormula, parent_level: int) -> str:
-    level = _LEVEL.get(type(f), 5)
-    if level < parent_level or (level == parent_level and type(f) in (Implies, Or, And)):
-        # keep left/right nesting of same-level binary operators explicit
-        return f"({f})"
-    return str(f)
+def _text(f: LtlFormula, kids: list[str]) -> str:
+    """f's text from its operands' texts.
+
+    An operand is parenthesized when its level is at most the level it is
+    bound at: the operator's own level (so same-level nesting of ->, || and
+    && stays explicit), 4 under U, R and the unary operators, and 2 for the
+    left operand of ->.
+    """
+    if isinstance(f, Prop):
+        return f.name
+    symbol = _SYMBOL[type(f)]
+    if not kids:
+        return symbol
+    bound = min(_LEVEL.get(type(f), 5), 4)
+    parts = [f"({text})" if _LEVEL.get(type(g), 5) <= at else text
+             for g, text, at in zip(f.children(), kids, (max(bound, 2), bound))]
+    return symbol + parts[0] if len(parts) == 1 else parts[0] + symbol + parts[1]
 
 
 def propositions(f: LtlFormula) -> frozenset[str]:
+    return fold(f, lambda g, kids: frozenset((g.name,)) if isinstance(g, Prop)
+                else frozenset().union(*kids))
+
+
+#: connective -> (constructor of its NNF, constructor of its negation's NNF)
+_NNF = {
+    TrueConst: (TrueConst, FalseConst), FalseConst: (FalseConst, TrueConst),
+    And: (And, Or), Or: (Or, And), Next: (Next, Next),
+    Eventually: (Eventually, Always), Always: (Always, Eventually),
+    Until: (Until, Release), Release: (Release, Until),
+}
+
+
+def _nnf_pair(f: LtlFormula, kids: list[tuple]) -> tuple[LtlFormula, LtlFormula]:
+    """(NNF of f, NNF of !f) from the same pairs for f's operands."""
     if isinstance(f, Prop):
-        return frozenset((f.name,))
-    if isinstance(f, (TrueConst, FalseConst)):
-        return frozenset()
-    if isinstance(f, (Not, Next, Eventually, Always)):
-        return propositions(f.operand)
-    return propositions(f.left) | propositions(f.right)
+        return f, Not(f)
+    if isinstance(f, Not):
+        return kids[0][::-1]
+    if isinstance(f, Implies):
+        (a, not_a), (b, not_b) = kids
+        return Or(not_a, b), And(a, not_b)
+    positive, negative = _NNF[type(f)]
+    return positive(*(k[0] for k in kids)), negative(*(k[1] for k in kids))
 
 
 def to_nnf(f: LtlFormula) -> LtlFormula:
@@ -153,62 +196,12 @@ def to_nnf(f: LtlFormula) -> LtlFormula:
     Negated Until turns into the internal Release dual, !F into G!, !G into
     F!, !X into X!. The result contains Not only directly above Prop.
     """
-    if isinstance(f, _ATOMIC):
-        return f
-    if isinstance(f, And):
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Or):
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Implies):
-        return Or(to_nnf(Not(f.left)), to_nnf(f.right))
-    if isinstance(f, Next):
-        return Next(to_nnf(f.operand))
-    if isinstance(f, Eventually):
-        return Eventually(to_nnf(f.operand))
-    if isinstance(f, Always):
-        return Always(to_nnf(f.operand))
-    if isinstance(f, Until):
-        return Until(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Release):
-        return Release(to_nnf(f.left), to_nnf(f.right))
-    assert isinstance(f, Not)
-    g = f.operand
-    if isinstance(g, TrueConst):
-        return FalseConst()
-    if isinstance(g, FalseConst):
-        return TrueConst()
-    if isinstance(g, Prop):
-        return f
-    if isinstance(g, Not):
-        return to_nnf(g.operand)
-    if isinstance(g, And):
-        return Or(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    if isinstance(g, Or):
-        return And(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    if isinstance(g, Implies):
-        return And(to_nnf(g.left), to_nnf(Not(g.right)))
-    if isinstance(g, Next):
-        return Next(to_nnf(Not(g.operand)))
-    if isinstance(g, Eventually):
-        return Always(to_nnf(Not(g.operand)))
-    if isinstance(g, Always):
-        return Eventually(to_nnf(Not(g.operand)))
-    if isinstance(g, Until):
-        return Release(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    assert isinstance(g, Release)
-    return Until(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
+    return fold(f, _nnf_pair)[0]
 
 
 def is_nnf(f: LtlFormula) -> bool:
-    if isinstance(f, Not):
-        return isinstance(f.operand, Prop)
-    if isinstance(f, _ATOMIC):
-        return True
-    if isinstance(f, (Next, Eventually, Always)):
-        return is_nnf(f.operand)
-    if isinstance(f, Implies):
-        return False
-    return is_nnf(f.left) and is_nnf(f.right)
+    return fold(f, lambda g, kids: isinstance(g.operand, Prop) if isinstance(g, Not)
+                else not isinstance(g, Implies) and all(kids))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 #: certified error bound for irrational square roots
 SQRT_ERROR = Fraction(1, 10 ** 12)
@@ -23,8 +20,12 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q", integer, or decimal text into an exact rational.
 
     Decimal literals are exact: "0.5" -> 1/2, never a float round-trip.
+    Malformed text and a zero denominator are both a ValueError.
     """
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -33,7 +33,7 @@ from .errors import HavError
 from .kripke import FiniteKripke
 from .ltl import (
     Always, And, Eventually, FalseConst, Implies, LtlFormula, Next, Not, Or,
-    Prop, TrueConst, Until,
+    Prop, TrueConst, Until, fold,
 )
 from .mcheck import Counterexample
 from .model import (
@@ -515,23 +515,10 @@ _LTL_UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always}
 #: Deepest nesting `parse_ltl` accepts, in operators and parentheses around
 #: any point of the text and in operator levels of the syntax tree. At this
 #: depth `hav check` needs at most about 620 frames (100 parentheses, each
-#: six parser calls deep), which leaves room under Python's default
-#: recursion limit of 1000 for parsing, NNF, the tableau and printing.
+#: six parser calls deep), within Python's default recursion limit of
+#: 1000. NNF, the tableau's passes and printing run on `ltl.fold` and add
+#: no frames; hashing a formula adds one per level.
 MAX_LTL_DEPTH = 100
-
-
-def _operator_depth(phi: LtlFormula) -> int:
-    """Operator levels of phi's syntax tree (0 for an atom), without recursion."""
-    deepest = 0
-    stack = [(phi, 0)]
-    while stack:
-        f, depth = stack.pop()
-        deepest = max(deepest, depth)
-        if isinstance(f, (And, Or, Implies, Until)):
-            stack += [(f.left, depth + 1), (f.right, depth + 1)]
-        elif isinstance(f, (Not, Next, Eventually, Always)):
-            stack.append((f.operand, depth + 1))
-    return deepest
 
 
 def parse_ltl(text: str, filename: str = "<formula>") -> LtlFormula:
@@ -610,7 +597,7 @@ def parse_ltl(text: str, filename: str = "<formula>") -> LtlFormula:
     if tail.kind != "eof":
         raise ParseError(f"unexpected trailing input {tail.text!r}", tail.span)
     # && and || chains nest to the left in a loop, so only the tree shows it
-    if _operator_depth(node) > MAX_LTL_DEPTH:
+    if fold(node, lambda f, kids: 1 + max(kids) if kids else 0) > MAX_LTL_DEPTH:
         raise too_deep(first.span)
     return node
 

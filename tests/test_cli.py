@@ -254,6 +254,18 @@ def test_ball_exact_json(capsys):
     assert payload["zeno_time"] == "30/7"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--l", "1/0", "--g", "1", "--c", "1/2"],
+    ["--l", "1", "--g", "1/0", "--c", "1/2"],
+    ["--l", "1", "--g", "1", "--c", "0/0"],
+])
+def test_ball_zero_denominator_exit_two(capsys, flags):
+    code, out, err = run(capsys, "ball", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "zero denominator" in err
+
+
 def test_determinism(capsys):
     _, first, _ = run(capsys, "regions", LOGIN, "--dot")
     _, second, _ = run(capsys, "regions", LOGIN, "--dot")

@@ -4,7 +4,7 @@ import random
 
 from hav.ltl import (
     Always, And, Eventually, Lasso, Not, Or, Prop, Release, TrueConst, Until,
-    eval_lasso, is_nnf, to_nnf,
+    eval_lasso, is_nnf, propositions, to_nnf,
 )
 from helpers import random_formula, random_lasso
 
@@ -29,6 +29,20 @@ class TestNnf:
         for _ in range(200):
             phi = random_formula(rng, rng.randint(1, 9), ["p", "q", "r"])
             assert is_nnf(to_nnf(phi))
+
+    def test_deep_formula_passes_do_not_recurse(self):
+        # 5,000 levels, far past the recursion limit; only parse_ltl caps depth
+        layers = (lambda g: Until(Q, g), Not, Always)
+        phi = P
+        for i in range(5000):
+            phi = layers[i % 3](phi)
+        text = str(phi)
+        assert text.count("q U ") == 1667 and text.count("G ") == 1666
+        nnf = to_nnf(phi)
+        nnf_text = str(nnf)
+        assert nnf_text.count(" U ") + nnf_text.count(" R ") == 1667
+        assert propositions(phi) == {"p", "q"}
+        assert is_nnf(nnf) and not is_nnf(phi)
 
     def test_nnf_preserves_semantics(self):
         rng = random.Random(12)

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from hav.rational import SQRT_ERROR, format_rational, parse_rational, sqrt_rational
 
 
@@ -20,6 +22,12 @@ def test_value_equality():
 def test_decimal_literals_are_exact():
     assert parse_rational("0.1") == Fraction(1, 10)
     assert parse_rational("9.8") == Fraction(49, 5)
+
+
+def test_zero_denominator_is_value_error():
+    for text in ("1/0", "0/0", " -3/0 "):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)
 
 
 def test_add_sub_roundtrip_random():
