@@ -1,9 +1,9 @@
 """hav: hybrid automata modeling, composition, and LTL verification.
 
 Exact-rational concrete semantics, region-graph abstraction for timed
-automata, LTL-to-Büchi translation with nested-DFS emptiness, bisimulation
-quotients, the initialized rectangular/multi-rate reductions, and the
-two-counter-machine encoding as a stress oracle.
+automata, LTL-to-Büchi translation with an on-the-fly SCC emptiness
+check, bisimulation quotients, the initialized rectangular/multi-rate
+reductions, and the two-counter-machine encoding as a stress oracle.
 """
 
 from .bisim import coarsest_quotient, is_bisimilar

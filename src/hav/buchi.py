@@ -1,9 +1,11 @@
 """LTL to Büchi translation (tableau construction) and lasso acceptance.
 
 The tableau builds a generalized Büchi automaton from the negation normal
-form, one acceptance set per Until subformula, then degeneralizes with the
-usual counter construction. Transition guards are kept symbolic as
-(must-hold, must-not-hold) proposition pairs instead of explicit letters.
+form, one acceptance set per Until subformula, and merges the tableau nodes
+that cannot be told apart. Emptiness and lasso acceptance check the
+generalized condition directly, so nothing is degeneralized. Transition
+guards are kept symbolic as (must-hold, must-not-hold) proposition pairs
+instead of explicit letters.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import Container
 
-from .graph import strongly_connected_components
+from .graph import accepting_lasso
 from .ltl import (
     Always, And, Eventually, FalseConst, Lasso, LtlFormula, Next, Not, Or,
     Prop, Release, TrueConst, Until, fold, propositions, to_nnf,
@@ -43,18 +46,23 @@ class BuchiTransition:
 
 @dataclass
 class BuchiAutomaton:
-    """Edge-guarded Büchi automaton over letters from 2^AP."""
+    """Edge-guarded generalized Büchi automaton over letters from 2^AP.
+
+    A run is accepted when it visits every set in `accepting` infinitely
+    often; with no sets, every infinite run is. Every edge into a state
+    carries that state's guard.
+    """
 
     states: tuple[int, ...]
     initial: frozenset[int]
     transitions: tuple[BuchiTransition, ...]
-    accepting: frozenset[int]
+    accepting: tuple[frozenset[int], ...]
     ap: frozenset[str] = frozenset()
     display: dict = field(default_factory=dict)
 
     def __post_init__(self):
         stateset = set(self.states)
-        if not self.accepting <= stateset or not self.initial <= stateset:
+        if not self.initial <= stateset or any(not s <= stateset for s in self.accepting):
             raise ValueError("accepting/initial states must be declared states")
         for t in self.transitions:
             if t.source not in stateset or t.target not in stateset:
@@ -63,18 +71,42 @@ class BuchiAutomaton:
         for t in self.transitions:
             self._adjacency[t.source].append((t.target, t.guard))
         for lst in self._adjacency.values():
-            lst.sort(key=lambda e: (e[0], str(e[1])))
+            lst.sort(key=lambda e: e[0])
 
     def moves(self, state: int, letter: frozenset[str]) -> list[int]:
         return [t for t, g in self._adjacency[state] if g.matches(letter)]
 
+    def product_accepting(self) -> tuple[Container, ...]:
+        """The acceptance sets lifted to product nodes `(x, state)`."""
+        return tuple(_PairsAt(s) for s in self.accepting)
+
+
+class _PairsAt:
+    """The pairs `(x, q)` with q in `states`, tested without listing them."""
+
+    __slots__ = ("states",)
+
+    def __init__(self, states: frozenset[int]):
+        self.states = states
+
+    def __contains__(self, node: tuple) -> bool:
+        return node[1] in self.states
+
+
+#: F a = true U a and G a = false R a
+_SUGAR = {Eventually: (Until, TrueConst), Always: (Release, FalseConst)}
+
 
 def _core(f: LtlFormula, kids: list[LtlFormula]) -> LtlFormula:
-    """Rewrite an NNF formula into the tableau core: F a = true U a, G a = false R a."""
-    if isinstance(f, Eventually):
-        return Until(TrueConst(), kids[0])
-    if isinstance(f, Always):
-        return Release(FalseConst(), kids[0])
+    """Rewrite an NNF formula into the tableau core, without F and G.
+
+    F F a = F a and G G a = G a, so an F or G whose operand already has
+    its core form is that operand.
+    """
+    if type(f) in _SUGAR:
+        op, unit = _SUGAR[type(f)]
+        kid = kids[0]
+        return kid if isinstance(kid, op) and isinstance(kid.left, unit) else op(unit(), kid)
     if isinstance(f, Not) or not kids:
         return f  # NNF: a negation's operand is a proposition
     return type(f)(*kids)
@@ -183,73 +215,42 @@ def _node_guard(old: set) -> PropGuard:
 
 
 def translate_to_buchi(phi: LtlFormula) -> BuchiAutomaton:
-    """Büchi automaton whose accepted words over 2^AP are the models of phi.
+    """Generalized Büchi automaton accepting exactly the models of phi over 2^AP.
 
-    May be exponential in the formula size. A fresh non-accepting initial
-    state carries the first letter's constraints on its outgoing edges.
+    May be exponential in the formula size. A fresh initial state, in no
+    acceptance set, carries the first letter's constraints on its outgoing
+    edges. Tableau nodes with the same `next` set, guard and acceptance
+    membership become one state, named after the smallest node id: a node's
+    successors depend only on its `next` set, so such nodes are bisimilar.
     """
     core = fold(to_nnf(phi), _core)
-    ap = propositions(core)
     counter = itertools.count()
     nodes: list[_Node] = []
-    root = _Node(next(counter), {_INIT}, {core}, set(), set())
-    _expand(root, nodes, counter)
+    _expand(_Node(next(counter), {_INIT}, {core}, set(), set()), nodes, counter)
 
     # one acceptance set per distinct Until, ordered by its first occurrence
     untils = list(dict.fromkeys(fold(core, _untils_in_order)))
-    acc_sets = [
-        frozenset(nd.nid for nd in nodes if u.right in nd.old or u not in nd.old)
-        for u in untils
-    ]
-
-    # generalized automaton, then counter-based degeneralization
-    node_ids = [nd.nid for nd in nodes]
-    guards = {nd.nid: _node_guard(nd.old) for nd in nodes}
-    gba_edges: list[tuple[int, int]] = []
-    gba_initial: list[int] = []
-    for nd in nodes:
-        for src in nd.incoming:
-            if src == _INIT:
-                gba_initial.append(nd.nid)
-            else:
-                gba_edges.append((src, nd.nid))
-
-    k = len(acc_sets)
-    iota = "iota"
-
-    if k == 0:
-        remap = {nid: i + 1 for i, nid in enumerate(sorted(node_ids))}
-        states = tuple([0] + sorted(remap.values()))
-        transitions = [BuchiTransition(0, guards[t], remap[t]) for t in sorted(gba_initial)]
-        transitions += [BuchiTransition(remap[s], guards[t], remap[t]) for s, t in sorted(gba_edges)]
-        display = {0: iota}
-        display.update({remap[nid]: f"n{nid}" for nid in node_ids})
-        return BuchiAutomaton(states, frozenset({0}), tuple(transitions),
-                              frozenset(states), ap, display)
-
-    def advance(q: int, i: int) -> int:
-        return (i % k) + 1 if q in acc_sets[i - 1] else i
-
-    remap = {}
-    for nid in sorted(node_ids):
-        for i in range(1, k + 1):
-            remap[(nid, i)] = len(remap) + 1
-    states = tuple([0] + sorted(remap.values()))
-    transitions = [BuchiTransition(0, guards[t], remap[(t, 1)]) for t in sorted(gba_initial)]
-    for s, t in sorted(gba_edges):
-        for i in range(1, k + 1):
-            transitions.append(BuchiTransition(remap[(s, i)], guards[t], remap[(t, advance(s, i))]))
-    accepting = frozenset(remap[(nid, 1)] for nid in node_ids if nid in acc_sets[0])
-    display = {0: iota}
-    display.update({remap[(nid, i)]: f"n{nid}.{i}" for nid in node_ids for i in range(1, k + 1)})
-    return BuchiAutomaton(states, frozenset({0}), tuple(transitions), accepting, ap, display)
+    classes: dict[tuple, int] = {}  # (next set, guard, membership) -> state
+    state_of, display = {_INIT: 0}, {0: "iota"}
+    for nd in sorted(nodes, key=lambda nd: nd.nid):
+        member = tuple(u.right in nd.old or u not in nd.old for u in untils)
+        key = (frozenset(nd.next), _node_guard(nd.old), member)
+        state = state_of[nd.nid] = classes.setdefault(key, len(classes) + 1)
+        display.setdefault(state, f"n{nd.nid}")
+    guards = {state: guard for (_, guard, _), state in classes.items()}
+    edges = sorted({(state_of[src], state_of[nd.nid]) for nd in nodes for src in nd.incoming})
+    transitions = tuple(BuchiTransition(s, guards[t], t) for s, t in edges)
+    accepting = tuple(frozenset(state for (_, _, member), state in classes.items() if member[i])
+                      for i in range(len(untils)))
+    return BuchiAutomaton(tuple(range(len(classes) + 1)), frozenset({0}), transitions,
+                          accepting, propositions(core), display)
 
 
 def buchi_accepts_lasso(automaton: BuchiAutomaton, sigma: Lasso) -> bool:
     """Acceptance of the ultimately periodic word sigma.
 
     Product of the automaton with the lasso positions, then a search for a
-    reachable cycle through an accepting state.
+    reachable cycle that meets every acceptance set.
     """
     start = [(0, q) for q in sorted(automaton.initial)]
     moves = functools.cache(automaton.moves)
@@ -259,13 +260,4 @@ def buchi_accepts_lasso(automaton: BuchiAutomaton, sigma: Lasso) -> bool:
         nxt = sigma.successor(pos)
         return [((nxt, q2), None) for q2 in moves(q, sigma.letter(pos))]
 
-    for comp in strongly_connected_components(start, succs):
-        has_accepting = any(q in automaton.accepting for _, q in comp)
-        if not has_accepting:
-            continue
-        if len(comp) > 1:
-            return True
-        node = next(iter(comp))
-        if any(target == node for target, _ in succs(node)):
-            return True
-    return False
+    return accepting_lasso(start, succs, automaton.product_accepting()) is not None

@@ -294,7 +294,9 @@ def _dispatch(args) -> int:
         automaton = translate_to_buchi(parse_ltl(args.formula))
         print(f"states: {len(automaton.states)}")
         print(f"transitions: {len(automaton.transitions)}")
-        print(f"accepting: {len(automaton.accepting)}")
+        sizes = ", ".join(str(len(acc)) for acc in automaton.accepting)
+        print(f"acceptance sets: {len(automaton.accepting)}"
+              f" ({f'{sizes} states' if sizes else 'every cycle accepts'})")
         if args.dot:
             sys.stdout.write(textfmt.emit_dot(automaton))
         return 0

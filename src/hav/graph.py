@@ -8,7 +8,7 @@ it reaches the node, so a graph can be computed on demand.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Hashable, Iterable, NamedTuple, Optional
+from typing import Callable, Container, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 Node = Hashable
 Successors = Callable[[Node], Iterable[tuple[Node, object]]]
@@ -43,104 +43,108 @@ def explore(roots: Iterable[Node], successors: Successors,
     return Exploration(list(found), edges, bool(frontier))
 
 
-def _depth_first(root: Node, successors: Successors, visited: set):
-    """Depth-first search from root that enters only unvisited nodes.
+def accepting_lasso(roots: Iterable[Node], successors: Successors,
+                    accepting: Sequence[Container[Node]]):
+    """A reachable cycle that meets every set in `accepting`, or None.
 
-    Yields `(path, labels, edge)` for each edge `(target, label)` it reads,
-    before entering the target, and `(path, labels, None)` on leaving
-    `path[-1]`. The path lists are live: they change as the search goes on.
+    With no sets, any reachable cycle will do. The cycle comes as a lasso
+    `(stem_nodes, stem_labels, loop_nodes, loop_labels)`: `stem_nodes[-1]`
+    is `loop_nodes[0]`, and `loop_labels[-1]` closes the loop.
+
+    Couvreur's on-the-fly search ("On-the-fly verification of linear
+    temporal logic", FM 1999): a depth-first search keeps a stack of the
+    roots of the strongly connected components it has not finished, each
+    with the union of its members' marks (bit i for `accepting[i]`). An
+    edge into an unfinished component merges every component above it on
+    that stack into it, and the search stops as soon as a merged component
+    holds every mark. The stem is the search path to that component's root,
+    and the loop a walk inside the component from that root (`_loop`).
     """
-    visited.add(root)
-    path, labels, pending = [root], [], [iter(successors(root))]
-    while pending:
-        for edge in pending[-1]:
-            yield path, labels, edge
-            target, label = edge
-            if target not in visited:
-                visited.add(target)
-                path.append(target)
-                labels.append(label)
-                pending.append(iter(successors(target)))
-                break
-        else:
-            yield path, labels, None
-            pending.pop()
-            path.pop()
-            if labels:
-                labels.pop()
+    every = (1 << len(accepting)) - 1
 
+    def marks(node) -> int:
+        return sum(1 << i for i, nodes in enumerate(accepting) if node in nodes)
 
-def nested_dfs(roots: Iterable[Node], successors: Successors,
-               accepting: Callable[[Node], bool]):
-    """A reachable cycle through an accepting node, or None.
+    index: dict = {}  # node -> depth-first number, or -1 once its component is finished
+    live: list = []  # the nodes of unfinished components, by number
+    scc_roots: list[tuple[int, int]] = []  # (number, marks) per unfinished component
 
-    The cycle comes as a lasso `(stem_nodes, stem_labels, loop_nodes,
-    loop_labels)`: `stem_nodes[-1]` is `loop_nodes[0]`, and `loop_labels[-1]`
-    closes the loop. The outer search starts the inner one at each accepting
-    node in postorder; the inner one keeps its marks and looks for an edge
-    back to its seed (Courcoubetis, Vardi, Wolper, Yannakakis 1992). The
-    outer search also stops at an accepting node's edge to itself, which
-    finds lassos in infinite graphs. It ignores other edges back into its
-    path: stopping there would change the lassos `hav check` prints.
-    """
-    visited: set = set()
-    inner_visited: set = set()
-
-    def cycle(seed):
-        for path, labels, edge in _depth_first(seed, successors, inner_visited):
-            if edge is not None and edge[0] == seed:
-                return path, labels + [edge[1]]
-        return None
+    def enter(node) -> None:
+        index[node] = len(index)
+        live.append(node)
+        scc_roots.append((index[node], marks(node)))
 
     for root in roots:
-        if root in visited:
+        if root in index:
             continue
-        for path, labels, edge in _depth_first(root, successors, visited):
-            node = path[-1]
-            if edge is None:
-                loop = cycle(node) if accepting(node) else None
-                if loop is not None:
-                    return path, labels, loop[0], loop[1]
-            elif edge[0] == node and accepting(node):
-                return path, labels, [node], [edge[1]]
+        enter(root)
+        stack = [(root, None, iter(successors(root)))]  # (node, label into it, edges left)
+        while stack:
+            node, _, edges = stack[-1]
+            for target, label in edges:
+                seen = index.get(target)
+                if seen is None:
+                    enter(target)
+                    stack.append((target, label, iter(successors(target))))
+                    break
+                if seen < 0:
+                    continue
+                top, got = scc_roots.pop()
+                while top > seen:
+                    top, more = scc_roots.pop()
+                    got |= more
+                scc_roots.append((top, got))
+                if got == every:
+                    stem = stack[:[index[n] for n, _, _ in stack].index(top) + 1]
+                    loop = _loop(stem[-1][0], successors,
+                                 lambda n: index.get(n, -1) >= top, marks, every)
+                    return [n for n, _, _ in stem], [a for _, a, _ in stem[1:]], *loop
+            else:
+                stack.pop()
+                if scc_roots[-1][0] == index[node]:
+                    scc_roots.pop()
+                    while index[node] >= 0:
+                        index[live.pop()] = -1
     return None
 
 
-def strongly_connected_components(roots: Iterable[Node], successors: Successors):
-    """Tarjan's search: each strongly connected component reachable from
-    roots, as a set, every one after the components it reaches."""
-    visited: set = set()
-    index: dict = {}
-    lowlink: dict = {}
-    stack: list = []
-    on_stack: set = set()
+def _loop(root: Node, successors: Successors, inside: Callable[[Node], bool],
+          marks: Callable[[Node], int], every: int) -> tuple[list, list]:
+    """A cycle from root among the nodes `inside` that meets every mark:
+    shortest walks from the root to the nearest node with a mark not yet
+    met, from there to the next, and back to the root."""
+    nodes, labels, got = [root], [], marks(root)
+    while True:
+        missing = every & ~got
+        walk, walk_labels = _walk(nodes[-1], successors, inside,
+                                  (lambda n: marks(n) & missing) if missing
+                                  else (lambda n: n == root))
+        nodes += walk
+        labels += walk_labels
+        for node in walk:
+            got |= marks(node)
+        if not missing:
+            return nodes[:-1], labels
 
-    def enter(node):
-        index[node] = lowlink[node] = len(index)
-        stack.append(node)
-        on_stack.add(node)
 
-    for root in roots:
-        if root in visited:
-            continue
-        enter(root)
-        for path, _, edge in _depth_first(root, successors, visited):
-            node = path[-1]
-            if edge is not None:
-                target = edge[0]
-                if target not in visited:
-                    enter(target)
-                elif target in on_stack:
-                    lowlink[node] = min(lowlink[node], index[target])
+def _walk(start: Node, successors: Successors, inside: Callable[[Node], bool],
+          goal: Callable[[Node], object]) -> tuple[list, list]:
+    """The nodes after start and the labels of a shortest walk of at least
+    one edge from start to a node where goal holds, among nodes inside;
+    breadth first, in successor order."""
+    parent: dict = {}
+    queue = [start]
+    for node in queue:  # the queue grows as it is read
+        for target, label in successors(node):
+            if target in parent or not inside(target):
                 continue
-            if len(path) > 1:
-                lowlink[path[-2]] = min(lowlink[path[-2]], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                yield component
+            parent[target] = (node, label)
+            if goal(target):
+                nodes, labels = [target], [label]
+                while node != start:
+                    nodes.append(node)
+                    node, label = parent[node]
+                    labels.append(label)
+                return nodes[::-1], labels[::-1]
+            queue.append(target)
+    raise AssertionError("the component is strongly connected")

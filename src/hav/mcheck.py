@@ -1,12 +1,13 @@
-"""End-to-end LTL model checking: negate, translate, product, nested DFS.
+"""End-to-end LTL model checking: negate, translate, product, SCC search.
 
 The synchronized product reads the Kripke label of the *source* state on
 every step; the translation's fresh initial Büchi state makes that cover the
-first letter as well. The product is explored on demand: nested DFS asks for
+first letter as well. The product is explored on demand: the emptiness
+check, Couvreur's SCC search over the generalized acceptance sets, asks for
 a node's edges only when it reaches the node, and stops at the first
-accepting cycle. The Kripke side is asked the same way, so a region graph is
-walked only as far as the search goes. Violations come back as lassos over
-the product and are re-validated before they are reported.
+component that meets every set. The Kripke side is asked the same way, so a
+region graph is walked only as far as the search goes. Violations come back
+as lassos over the product and are re-validated before they are reported.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Container, Optional, Union
 
 from .buchi import BuchiAutomaton, translate_to_buchi
 from .errors import UnknownProposition
-from .graph import nested_dfs
+from .graph import accepting_lasso
 from .kripke import FiniteKripke
 from .ltl import Lasso, LtlFormula, Not, propositions
 from .model import HybridAutomaton, Valuation
@@ -37,12 +38,13 @@ Structure = Union[FiniteKripke, RegionGraph]
 class ProductGraph:
     """K x A, edges tagged with the Kripke transition index.
 
+    `accepting` holds one container of product nodes per acceptance set.
     `successors` calls `expand` once per node and keeps the result in
     `adjacency`, which holds exactly the nodes expanded so far.
     """
 
     initial: tuple[Node, ...]
-    accepting: Container[Node]
+    accepting: tuple[Container[Node], ...]
     expand: Callable[[Node], list[tuple[Node, int]]]
     adjacency: dict = field(default_factory=dict)
 
@@ -53,21 +55,12 @@ class ProductGraph:
         return out
 
 
-class _AcceptingNodes:
-    """The product nodes whose Büchi state accepts, tested without listing them."""
-
-    def __init__(self, states: frozenset[int]):
-        self.states = states
-
-    def __contains__(self, node: Node) -> bool:
-        return node[1] in self.states
-
-
 def synchronized_product(k: Structure, b: BuchiAutomaton) -> ProductGraph:
     """States (s, q); a step requires a Büchi edge whose guard matches L(s).
 
-    Nothing is explored here: each node's sorted `((t, q2), edge_index)`
-    list is built when a search first reaches the node.
+    Nothing is explored here: each node's `((t, q2), edge_index)` list is
+    built when a search first reaches the node, in the Kripke structure's
+    successor order and, within one Kripke edge, in the Büchi moves' order.
     """
     moves = functools.cache(b.moves)
     label, successors = k.label, k.successors
@@ -75,11 +68,10 @@ def synchronized_product(k: Structure, b: BuchiAutomaton) -> ProductGraph:
     def expand(node: Node) -> list[tuple[Node, int]]:
         s, q = node
         q_moves = moves(q, label(s))
-        return sorted(((t, q2), edge_index)
-                      for t, edge_index in successors(s) for q2 in q_moves)
+        return [((t, q2), edge_index) for t, edge_index in successors(s) for q2 in q_moves]
 
     initial = tuple(sorted((s, q) for s in k.initial for q in b.initial))
-    return ProductGraph(initial, _AcceptingNodes(b.accepting), expand)
+    return ProductGraph(initial, b.product_accepting(), expand)
 
 
 @dataclass
@@ -93,8 +85,14 @@ class ProductLasso:
 
 
 def nested_dfs_emptiness(g: ProductGraph) -> Optional[ProductLasso]:
-    """None when no reachable accepting cycle exists, otherwise a validated lasso."""
-    found = nested_dfs(g.initial, g.successors, g.accepting.__contains__)
+    """None when no reachable cycle meets every acceptance set, else a validated lasso.
+
+    The search is `graph.accepting_lasso`, Couvreur's SCC search, not nested
+    DFS. The name stays, like `ProductGraph.adjacency` and the `ProductLasso`
+    fields, because the benchmark tracer (bench/tracing.py) wraps and reads
+    them by name; it goes when that tracer is replaced.
+    """
+    found = accepting_lasso(g.initial, g.successors, g.accepting)
     if found is None:
         return None
     lasso = ProductLasso(*found)
@@ -106,7 +104,7 @@ def _validate_lasso(g: ProductGraph, lasso: ProductLasso) -> None:
     assert lasso.loop_nodes, "loop must be nonempty"
     assert lasso.stem_nodes[0] in g.initial
     assert lasso.stem_nodes[-1] == lasso.loop_nodes[0]
-    assert any(n in g.accepting for n in lasso.loop_nodes)
+    assert all(any(n in nodes for n in lasso.loop_nodes) for nodes in g.accepting)
     walk = list(zip(lasso.stem_nodes, lasso.stem_nodes[1:], lasso.stem_edges))
     cycle = lasso.loop_nodes + [lasso.loop_nodes[0]]
     walk += list(zip(cycle, cycle[1:], lasso.loop_edges))

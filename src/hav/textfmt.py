@@ -640,13 +640,16 @@ def emit_dot(graph) -> str:
 
 
 def _emit_dot_buchi(b: BuchiAutomaton) -> str:
+    """A state in every acceptance set (with none, every state) is a double
+    circle; its label lists the numbers of the sets it is in, as `{0 2}`."""
     lines = ["digraph buchi {", "  rankdir=LR;"]
     for s in b.states:
-        shape = "doublecircle" if s in b.accepting else "circle"
+        marks = [str(i) for i, acc in enumerate(b.accepting) if s in acc]
+        shape = "doublecircle" if len(marks) == len(b.accepting) else "circle"
         extra = " style=bold" if s in b.initial else ""
-        name = _dot_escape(b.display.get(s, str(s)))
-        lines.append(f'  n{s} [shape={shape} label="{name}"{extra}];')
-    for t in sorted(b.transitions, key=lambda t: (t.source, t.target, str(t.guard))):
+        name = b.display.get(s, str(s)) + (f"\n{{{' '.join(marks)}}}" if marks else "")
+        lines.append(f'  n{s} [shape={shape} label="{_dot_escape(name)}"{extra}];')
+    for t in sorted(b.transitions, key=lambda t: (t.source, t.target)):
         lines.append(f'  n{t.source} -> n{t.target} [label="{_dot_escape(str(t.guard))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately re-derive results by different means than the
-library: SCC-based emptiness instead of nested DFS, exhaustive lasso
-enumeration instead of the Büchi pipeline, dense sampling instead of
-Fourier-Motzkin, substitution into every row instead of an occurrence index.
+library: Tarjan's SCCs instead of the on-the-fly emptiness search, the
+tableau degeneralized by counters instead of merged into a generalized
+automaton, exhaustive lasso enumeration instead of the Büchi pipeline, dense
+sampling instead of Fourier-Motzkin, substitution into every row instead of
+an occurrence index.
 """
 
 from __future__ import annotations
@@ -14,14 +16,18 @@ import re
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
+from hav.buchi import (
+    _INIT, BuchiAutomaton, BuchiTransition, _expand, _Node, _node_guard, _untils_in_order,
+)
 from hav.compose import product
 from hav.linsolve import EQ, LE, LT, LinearSystem, Solution
 from hav.kripke import STUTTER_ACTION, FiniteKripke, make_kripke
 from hav.ltl import (
-    Always, And, Eventually, FalseConst, Implies, Lasso, Next, Not, Or, Prop,
-    TrueConst, Until, eval_lasso,
+    Always, And, Eventually, FalseConst, Implies, Lasso, LtlFormula, Next, Not, Or,
+    Prop, Release, TrueConst, Until, eval_lasso, fold, propositions, to_nnf,
 )
 from hav.model import (
     AtomicConstraint, HybridAutomaton, JumpPredicate, Predicate, RateConst,
@@ -358,11 +364,105 @@ def reference_solve(system: LinearSystem) -> Optional[Solution]:
     return sol
 
 
+# ------------------------------------------------ reference Büchi translation
+
+def _reference_core(f: LtlFormula, kids: list[LtlFormula]) -> LtlFormula:
+    """Rewrite an NNF formula into the tableau core: F a = true U a, G a = false R a."""
+    if isinstance(f, Eventually):
+        return Until(TrueConst(), kids[0])
+    if isinstance(f, Always):
+        return Release(FalseConst(), kids[0])
+    if isinstance(f, Not) or not kids:
+        return f  # NNF: a negation's operand is a proposition
+    return type(f)(*kids)
+
+
+def reference_buchi(phi: LtlFormula) -> BuchiAutomaton:
+    """Büchi automaton whose accepted words over 2^AP are the models of phi.
+
+    The reference for `translate_to_buchi`: the tableau without F/G
+    collapsing and node merging, degeneralized by counters into one
+    acceptance set.
+
+    May be exponential in the formula size. A fresh non-accepting initial
+    state carries the first letter's constraints on its outgoing edges.
+    """
+    core = fold(to_nnf(phi), _reference_core)
+    ap = propositions(core)
+    counter = itertools.count()
+    nodes: list[_Node] = []
+    root = _Node(next(counter), {_INIT}, {core}, set(), set())
+    _expand(root, nodes, counter)
+
+    # one acceptance set per distinct Until, ordered by its first occurrence
+    untils = list(dict.fromkeys(fold(core, _untils_in_order)))
+    acc_sets = [
+        frozenset(nd.nid for nd in nodes if u.right in nd.old or u not in nd.old)
+        for u in untils
+    ]
+
+    # generalized automaton, then counter-based degeneralization
+    node_ids = [nd.nid for nd in nodes]
+    guards = {nd.nid: _node_guard(nd.old) for nd in nodes}
+    gba_edges: list[tuple[int, int]] = []
+    gba_initial: list[int] = []
+    for nd in nodes:
+        for src in nd.incoming:
+            if src == _INIT:
+                gba_initial.append(nd.nid)
+            else:
+                gba_edges.append((src, nd.nid))
+
+    k = len(acc_sets)
+    iota = "iota"
+
+    if k == 0:
+        remap = {nid: i + 1 for i, nid in enumerate(sorted(node_ids))}
+        states = tuple([0] + sorted(remap.values()))
+        transitions = [BuchiTransition(0, guards[t], remap[t]) for t in sorted(gba_initial)]
+        transitions += [BuchiTransition(remap[s], guards[t], remap[t]) for s, t in sorted(gba_edges)]
+        display = {0: iota}
+        display.update({remap[nid]: f"n{nid}" for nid in node_ids})
+        return BuchiAutomaton(states, frozenset({0}), tuple(transitions),
+                              (frozenset(states),), ap, display)
+
+    def advance(q: int, i: int) -> int:
+        return (i % k) + 1 if q in acc_sets[i - 1] else i
+
+    remap = {}
+    for nid in sorted(node_ids):
+        for i in range(1, k + 1):
+            remap[(nid, i)] = len(remap) + 1
+    states = tuple([0] + sorted(remap.values()))
+    transitions = [BuchiTransition(0, guards[t], remap[(t, 1)]) for t in sorted(gba_initial)]
+    for s, t in sorted(gba_edges):
+        for i in range(1, k + 1):
+            transitions.append(BuchiTransition(remap[(s, i)], guards[t], remap[(t, advance(s, i))]))
+    accepting = frozenset(remap[(nid, 1)] for nid in node_ids if nid in acc_sets[0])
+    display = {0: iota}
+    display.update({remap[(nid, i)]: f"n{nid}.{i}" for nid in node_ids for i in range(1, k + 1)})
+    return BuchiAutomaton(states, frozenset({0}), tuple(transitions), (accepting,), ap, display)
+
+
+def reference_accepts_lasso(automaton: BuchiAutomaton, sigma: Lasso) -> bool:
+    """Acceptance of sigma: `scc_nonempty` on the product of the automaton
+    with the lasso positions."""
+    def successors(node):
+        pos, q = node
+        return [((sigma.successor(pos), q2), None) for q2 in automaton.moves(q, sigma.letter(pos))]
+
+    accepting = tuple({(pos, q) for pos in range(sigma.positions) for q in states}
+                      for states in automaton.accepting)
+    return scc_nonempty(SimpleNamespace(initial=[(0, q) for q in sorted(automaton.initial)],
+                                        successors=successors, accepting=accepting))
+
+
 # ---------------------------------------------------------------- SCC oracle
 
 def scc_nonempty(graph) -> bool:
     """Independent emptiness check: a reachable nontrivial SCC (or self-loop)
-    containing an accepting state; Tarjan, no nested DFS."""
+    that meets every set in `graph.accepting`; Tarjan, not the library's
+    on-the-fly search."""
     index, lowlink, on_stack = {}, {}, set()
     stack, counter = [], itertools.count()
     nonempty = False
@@ -403,7 +503,7 @@ def scc_nonempty(graph) -> bool:
                     comp.add(member)
                     if member == node:
                         break
-                if any(m in graph.accepting for m in comp):
+                if all(any(m in nodes for m in comp) for nodes in graph.accepting):
                     if len(comp) > 1 or any(t == node for t in succs(node)):
                         nonempty = True
     return nonempty

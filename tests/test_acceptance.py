@@ -121,7 +121,7 @@ def test_criterion_5_ltl_buchi_oracle():
 
 
 def test_criterion_6_model_checking_oracle():
-    with criterion(6, "check vs brute force, nested DFS vs SCC", 60.0):
+    with criterion(6, "check vs brute force, SCC search vs Tarjan", 60.0):
         rng = random.Random(2025)
         for _ in range(200):
             k = random_kripke(rng, max_states=6)

@@ -4,9 +4,11 @@ import random
 
 from hav.buchi import buchi_accepts_lasso, translate_to_buchi
 from hav.ltl import (
-    Eventually, FalseConst, Lasso, Prop, Until, eval_lasso,
+    Always, Eventually, FalseConst, Lasso, Not, Prop, Until, eval_lasso,
 )
-from helpers import random_formula, random_lasso
+from helpers import (
+    random_formula, random_lasso, reference_accepts_lasso, reference_buchi,
+)
 
 P, Q = Prop("p"), Prop("q")
 
@@ -58,3 +60,32 @@ def test_empty_language_rejects_everything():
     b = translate_to_buchi(FalseConst())
     for _ in range(20):
         assert not buchi_accepts_lasso(b, random_lasso(rng, ["p", "q"]))
+
+
+def test_generalized_automaton_matches_degeneralized_reference():
+    rng = random.Random(23)
+    lassos = [random_lasso(rng, ["p", "q", "r"]) for _ in range(40)]
+    for _ in range(100):
+        phi = random_formula(rng, rng.randint(1, 8), ["p", "q", "r"])
+        b, reference = translate_to_buchi(phi), reference_buchi(phi)
+        assert len(b.states) <= len(reference.states), str(phi)
+        for sigma in lassos:
+            assert buchi_accepts_lasso(b, sigma) == reference_accepts_lasso(reference, sigma), \
+                str(phi)
+
+
+def test_nested_eventually_and_always():
+    rng = random.Random(24)
+    lassos = [random_lasso(rng, ["p", "q", "r"]) for _ in range(40)]
+    for _ in range(80):
+        phi = random_formula(rng, rng.randint(1, 5), ["p", "q", "r"])
+        for _ in range(rng.randint(2, 6)):
+            phi = rng.choice([Eventually, Eventually, Always, Always, Not])(phi)
+        b = translate_to_buchi(phi)
+        for sigma in lassos:
+            assert buchi_accepts_lasso(b, sigma) == eval_lasso(phi, sigma), str(phi)
+    for op in (Eventually, Always):
+        deep = P
+        for _ in range(100):
+            deep = op(deep)
+        assert len(translate_to_buchi(deep).states) == len(translate_to_buchi(op(P)).states)

@@ -230,6 +230,17 @@ def test_ltl2buchi_dot(capsys):
     assert "digraph buchi" in out and "states: " in out
 
 
+def test_ltl2buchi_generalized_acceptance(capsys):
+    code, out, _ = run(capsys, "ltl2buchi", "G F p && G F q", "--dot")
+    assert code == 0 and "acceptance sets: 2 (2, 2 states)" in out
+    # a state's label lists the sets it is in; one in every set is a double circle
+    assert out.count("{0 1}") == out.count("doublecircle") == 1
+    assert out.count("{0}") == out.count("{1}") == 1
+    _, out, _ = run(capsys, "ltl2buchi", "G p", "--dot")
+    assert "acceptance sets: 0 (every cycle accepts)" in out
+    assert "doublecircle" in out and "shape=circle" not in out
+
+
 def test_encode_minsky(capsys, tmp_path):
     program = tmp_path / "prog.mm"
     program.write_text("INC c1 -> 1\nHALT\n")

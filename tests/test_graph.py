@@ -1,7 +1,7 @@
 """The search core: searches that ask for successors only as they go."""
 
 from hav import mcheck
-from hav.graph import explore, nested_dfs
+from hav.graph import accepting_lasso, explore
 from hav.mcheck import check_timed, synchronized_product
 from hav.textfmt import parse_ltl
 from helpers import load_model
@@ -12,14 +12,31 @@ def count_up_or_back(n):
     return [(0, "back"), (n + 1, "up")]
 
 
-def test_nested_dfs_finds_lasso_in_infinite_graph():
-    lasso = nested_dfs([0], count_up_or_back, lambda n: n == 0)
+def test_accepting_lasso_finds_lasso_in_infinite_graph():
+    lasso = accepting_lasso([0], count_up_or_back, [{0}])
     assert lasso == ([0], [], [0], ["back"])
 
 
-def test_nested_dfs_stem_reaches_accepting_self_loop():
-    lasso = nested_dfs([0], lambda n: [(n, "stay"), (n + 1, "up")], lambda n: n == 3)
+def test_accepting_lasso_stem_reaches_accepting_self_loop():
+    lasso = accepting_lasso([0], lambda n: [(n, "stay"), (n + 1, "up")], [{3}])
     assert lasso == ([0, 1, 2, 3], ["up", "up", "up"], [3], ["stay"])
+
+
+def test_accepting_lasso_loop_meets_every_set():
+    # either cycle through 0 meets one set; only their union meets both
+    graph = {0: [(1, "a"), (2, "b")], 1: [(0, "back1")], 2: [(0, "back2")]}
+    lasso = accepting_lasso([0], graph.__getitem__, [{1}, {2}])
+    assert lasso == ([0], [], [0, 1, 0, 2], ["a", "back1", "b", "back2"])
+    assert accepting_lasso([0], graph.__getitem__, [{1}, {2}, {3}]) is None
+
+
+def test_accepting_lasso_without_sets_takes_any_cycle():
+    def chain_back_to_one(n):
+        return [(n + 1, "up")] if n < 3 else [(1, "back")]
+
+    lasso = accepting_lasso([0], chain_back_to_one, [])
+    assert lasso == ([0, 1], ["up"], [1, 2, 3], ["up", "up", "back"])
+    assert accepting_lasso([0], lambda n: [(n + 1, "up")] if n < 3 else [], []) is None
 
 
 def test_explore_stops_at_depth_cap():

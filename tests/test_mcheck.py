@@ -1,4 +1,4 @@
-"""Model-checking pipeline: product, nested DFS, end-to-end verdicts."""
+"""Model-checking pipeline: product, emptiness search, end-to-end verdicts."""
 
 import random
 from fractions import Fraction
@@ -58,7 +58,8 @@ def random_buchi_graph(rng: random.Random, max_states=10) -> ProductGraph:
             out.append((target, 0))
         adjacency[node] = sorted(out)
     initial = tuple(sorted(rng.sample(nodes, rng.randint(1, min(2, n)))))
-    accepting = frozenset(node for node in nodes if rng.random() < 0.35)
+    accepting = [frozenset(node for node in nodes if rng.random() < 0.35)
+                 for _ in range(rng.randint(0, 3))]
     # restrict to the reachable part, as synchronized_product would
     seen = set(initial)
     stack = list(initial)
@@ -68,14 +69,15 @@ def random_buchi_graph(rng: random.Random, max_states=10) -> ProductGraph:
             if t not in seen:
                 seen.add(t)
                 stack.append(t)
-    return ProductGraph(initial, frozenset(a for a in accepting if a in seen),
+    return ProductGraph(initial, tuple(frozenset(a for a in members if a in seen)
+                                       for members in accepting),
                         {n: adjacency[n] for n in seen}.__getitem__)
 
 
 class TestNestedDfs:
     def test_accepting_self_loop_at_initial(self):
         node = (0, 0)
-        g = ProductGraph((node,), frozenset({node}), {node: [(node, 0)]}.__getitem__)
+        g = ProductGraph((node,), (frozenset({node}),), {node: [(node, 0)]}.__getitem__)
         lasso = nested_dfs_emptiness(g)
         assert lasso is not None
         assert lasso.stem_nodes == [node] and lasso.loop_nodes == [node]
@@ -84,7 +86,7 @@ class TestNestedDfs:
         nodes = [(i, 0) for i in range(4)]
         adjacency = {nodes[i]: [(nodes[i + 1], 0)] for i in range(3)}
         adjacency[nodes[3]] = []
-        g = ProductGraph((nodes[0],), frozenset(nodes), adjacency.__getitem__)
+        g = ProductGraph((nodes[0],), (frozenset(nodes),), adjacency.__getitem__)
         assert nested_dfs_emptiness(g) is None
 
     def test_agrees_with_scc_oracle(self):

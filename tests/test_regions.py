@@ -229,8 +229,8 @@ class TestRegionGraphMatchesReference:
 
 
 class TestRegionGraphOnDemand:
-    """`check_timed` walks the region graph only as far as nested DFS goes,
-    and reports what it reports on a graph walked in full first."""
+    """`check_timed` walks the region graph only as far as the emptiness
+    search goes, and reports what it reports on a graph walked in full first."""
 
     def test_liveness_check_walks_a_prefix(self):
         pair = login_copies(["_a", "_b"], 5, 1)
