@@ -1,11 +1,14 @@
 """LTL to Büchi translation (tableau construction) and lasso acceptance.
 
 The tableau builds a generalized Büchi automaton from the negation normal
-form, one acceptance set per Until subformula, and merges the tableau nodes
-that cannot be told apart. Emptiness and lasso acceptance check the
-generalized condition directly, so nothing is degeneralized. Transition
-guards are kept symbolic as (must-hold, must-not-hold) proposition pairs
-instead of explicit letters.
+form, one acceptance set per Until subformula, expands each distinct next
+set once, and merges the tableau nodes that cannot be told apart. Emptiness
+and lasso acceptance check the generalized condition directly, so nothing
+is degeneralized, and they follow only the undominated moves: a target
+another enabled target simulates step for step is dropped (Somenzi and
+Bloem, CAV 2000; Etessami and Holzmann, CONCUR 2000). Transition guards are
+kept symbolic as (must-hold, must-not-hold) proposition pairs instead of
+explicit letters.
 """
 
 from __future__ import annotations
@@ -70,11 +73,42 @@ class BuchiAutomaton:
         self._adjacency: dict[int, list[tuple[int, PropGuard]]] = {s: [] for s in self.states}
         for t in self.transitions:
             self._adjacency[t.source].append((t.target, t.guard))
-        for lst in self._adjacency.values():
-            lst.sort(key=lambda e: e[0])
+        # edges as (target, guard id) pairs, so comparing them hashes no guard
+        guard_ids: dict[PropGuard, int] = {}
+        self._edges: dict[int, frozenset[tuple[int, int]]] = {}
+        self._membership: dict[int, int] = {}
+        self._rank: dict[int, tuple[int, int, int]] = {}
+        for s, out in self._adjacency.items():
+            out.sort(key=lambda e: e[0])
+            edges = self._edges[s] = frozenset(
+                (t, guard_ids.setdefault(g, len(guard_ids))) for t, g in out)
+            member = self._membership[s] = sum(
+                1 << i for i, states in enumerate(self.accepting) if s in states)
+            self._rank[s] = (-bin(member).count("1"), -len(edges), s)
 
     def moves(self, state: int, letter: frozenset[str]) -> list[int]:
-        return [t for t, g in self._adjacency[state] if g.matches(letter)]
+        """The undominated targets of `state`'s edges that `letter` enables,
+        in target order.
+
+        Target p dominates target r when p's edges, as (target, guard)
+        pairs, include r's, and p is in every acceptance set r is in. Then p
+        simulates r step for step, so a run through r can pass through p
+        instead and meet at least the same sets: dropping r keeps the
+        language and every emptiness verdict. Of targets that dominate each
+        other, the smallest is kept. Only the targets of this one call are
+        compared.
+        """
+        targets = [t for t, g in self._adjacency[state] if g.matches(letter)]
+        if len(targets) < 2:
+            return targets
+        edges, member = self._edges, self._membership
+        kept: list[int] = []
+        # by rank, a target comes after every target that dominates it and
+        # is not dominated back, so it need only be compared with the kept
+        for r in sorted(targets, key=self._rank.__getitem__):
+            if not any(member[r] & ~member[p] == 0 and edges[r] <= edges[p] for p in kept):
+                kept.append(r)
+        return sorted(kept)
 
     def product_accepting(self) -> tuple[Container, ...]:
         """The acceptance sets lifted to product nodes `(x, state)`."""
@@ -122,9 +156,9 @@ def _untils_in_order(f: LtlFormula, kids: list[list[Until]]) -> list[Until]:
 class _Node:
     __slots__ = ("nid", "incoming", "new", "old", "next")
 
-    def __init__(self, nid, incoming, new, old, nxt):
+    def __init__(self, nid, new, old, nxt):
         self.nid = nid
-        self.incoming = incoming
+        self.incoming: set[int] = set()
         self.new = new
         self.old = old
         self.next = nxt
@@ -133,8 +167,14 @@ class _Node:
 _INIT = -1  # virtual incoming marker
 
 
-def _expand(root: _Node, nodes: list[_Node], counter) -> None:
-    """Expand `root` and every node it spawns, depth first.
+def _expand(core: LtlFormula) -> list[_Node]:
+    """The kept tableau nodes of `core`, with their `incoming` filled in.
+
+    Expanding a next set always ends in the same kept nodes, so each
+    distinct next set is expanded once: the kept nodes that ask for it are
+    recorded as its requesters, every kept node records the next sets whose
+    expansion ends in it, and `incoming` is joined from the two at the end.
+    The root is the next set {core}, requested by `_INIT`.
 
     A split expands its new branch before the rest of the node, which waits
     on an explicit stack instead of the call stack, so a deep tableau cannot
@@ -143,7 +183,11 @@ def _expand(root: _Node, nodes: list[_Node], counter) -> None:
     sets, which never change once a node is kept. Pending formulas are
     taken in the order of their text, rendered once per formula.
     """
+    counter = itertools.count()
     kept: dict[tuple[frozenset, frozenset], _Node] = {}
+    root = frozenset({core})
+    requesters: dict[frozenset, set[int]] = {root: {_INIT}}
+    origins: dict[int, set[frozenset]] = {}  # kept nid -> next sets ending in it
     texts: dict[LtlFormula, str] = {}
 
     def text(f: LtlFormula) -> str:
@@ -152,19 +196,24 @@ def _expand(root: _Node, nodes: list[_Node], counter) -> None:
             got = texts[f] = str(f)
         return got
 
-    pending = [root]
+    pending = [(_Node(next(counter), set(root), set(), set()), root)]
     while pending:
-        node = pending.pop()
+        node, origin = pending.pop()
         while True:
             if not node.new:
                 key = (frozenset(node.old), frozenset(node.next))
                 merged = kept.get(key)
                 if merged is not None:
-                    merged.incoming |= node.incoming
+                    origins[merged.nid].add(origin)
                     break
                 kept[key] = node
-                nodes.append(node)
-                node = _Node(next(counter), {node.nid}, set(node.next), set(), set())
+                origins[node.nid] = {origin}
+                origin = key[1]
+                if origin in requesters:
+                    requesters[origin].add(node.nid)
+                    break
+                requesters[origin] = {node.nid}
+                node = _Node(next(counter), set(origin), set(), set())
                 continue
             eta = min(node.new, key=text)
             node.new.discard(eta)
@@ -197,15 +246,19 @@ def _expand(root: _Node, nodes: list[_Node], counter) -> None:
             else:
                 assert isinstance(eta, Release)
                 new1, next1, new2 = {eta.right}, {eta}, {eta.left, eta.right}
-            branch = _Node(next(counter), set(node.incoming),
-                           node.new | (new1 - node.old),
+            branch = _Node(next(counter), node.new | (new1 - node.old),
                            node.old | {eta}, node.next | next1)
             # the branch shares no set with the node, so the node's own
             # update can come first; it resumes once the branch is done
             node.old.add(eta)
             node.new |= new2 - node.old
-            pending.append(node)
+            pending.append((node, origin))
             node = branch
+
+    nodes = list(kept.values())
+    for nd in nodes:
+        nd.incoming.update(*(requesters[o] for o in origins[nd.nid]))
+    return nodes
 
 
 def _node_guard(old: set) -> PropGuard:
@@ -224,9 +277,7 @@ def translate_to_buchi(phi: LtlFormula) -> BuchiAutomaton:
     successors depend only on its `next` set, so such nodes are bisimilar.
     """
     core = fold(to_nnf(phi), _core)
-    counter = itertools.count()
-    nodes: list[_Node] = []
-    _expand(_Node(next(counter), {_INIT}, {core}, set(), set()), nodes, counter)
+    nodes = _expand(core)
 
     # one acceptance set per distinct Until, ordered by its first occurrence
     untils = list(dict.fromkeys(fold(core, _untils_in_order)))

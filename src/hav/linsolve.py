@@ -190,7 +190,8 @@ class LinearSystem:
         out_values = [values.get(i, Fraction(0)) for i in range(self.nvars)]
         out_intervals = [intervals.get(i, (None, None)) for i in range(self.nvars)]
         sol = Solution(out_values, out_intervals)
-        assert self.satisfied_by(sol.values), "witness must satisfy every constraint"
+        if not self.satisfied_by(sol.values):  # raised, not asserted: kept under `python -O`
+            raise AssertionError("witness must satisfy every constraint")
         return sol
 
     def satisfied_by(self, values: list[Fraction]) -> bool:

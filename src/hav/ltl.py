@@ -24,7 +24,18 @@ T = TypeVar("T")
 
 
 class _Formula:
-    """Base of the syntax-tree nodes: children, and text through `fold`."""
+    """Base of the syntax-tree nodes: children, text through `fold`, and a
+    hash computed once, at construction, from the children's cached hashes,
+    so hashing never walks a subtree. `==` is the dataclass's structural
+    comparison, which still recurses into two equal subtrees built apart.
+    """
+
+    def __post_init__(self):
+        # vars(self) holds the fields, in order, until `_hash` is set
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *vars(self).values())))
+
+    def __hash__(self):
+        return self._hash
 
     def children(self) -> tuple:
         return ()
@@ -33,7 +44,15 @@ class _Formula:
         return fold(self, _text)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """`dataclass(frozen=True)`, keeping `_Formula.__hash__` in place of the
+    generated hash, which would rehash the whole subtree."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = _Formula.__hash__
+    return cls
+
+
+@_node
 class _Unary(_Formula):
     operand: LtlFormula
 
@@ -41,7 +60,7 @@ class _Unary(_Formula):
         return (self.operand,)
 
 
-@dataclass(frozen=True)
+@_node
 class _Binary(_Formula):
     left: LtlFormula
     right: LtlFormula
@@ -50,62 +69,62 @@ class _Binary(_Formula):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True)
+@_node
 class TrueConst(_Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class FalseConst(_Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Prop(_Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Not(_Unary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class And(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Or(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Next(_Unary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Eventually(_Unary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Always(_Unary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Until(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Release(_Binary):
     """Dual of Until; internal to NNF and the tableau, not in the surface grammar."""
 

@@ -6,8 +6,9 @@ first letter as well. The product is explored on demand: the emptiness
 check, Couvreur's SCC search over the generalized acceptance sets, asks for
 a node's edges only when it reaches the node, and stops at the first
 component that meets every set. The Kripke side is asked the same way, so a
-region graph is walked only as far as the search goes. Violations come back
-as lassos over the product and are re-validated before they are reported.
+region graph is walked only as far as the search goes, and the Büchi side
+gives only its undominated moves. Violations come back as lassos over the
+product and are re-validated before they are reported.
 """
 
 from __future__ import annotations
@@ -101,15 +102,28 @@ def nested_dfs_emptiness(g: ProductGraph) -> Optional[ProductLasso]:
 
 
 def _validate_lasso(g: ProductGraph, lasso: ProductLasso) -> None:
-    assert lasso.loop_nodes, "loop must be nonempty"
-    assert lasso.stem_nodes[0] in g.initial
-    assert lasso.stem_nodes[-1] == lasso.loop_nodes[0]
-    assert all(any(n in nodes for n in lasso.loop_nodes) for nodes in g.accepting)
-    walk = list(zip(lasso.stem_nodes, lasso.stem_nodes[1:], lasso.stem_edges))
-    cycle = lasso.loop_nodes + [lasso.loop_nodes[0]]
+    """Raise AssertionError unless `lasso` is an accepting lasso of `g`.
+
+    The checks raise explicitly instead of using `assert`, so that they
+    still run under `python -O`.
+    """
+    stem, loop = lasso.stem_nodes, lasso.loop_nodes
+    if not loop:
+        raise AssertionError("loop must be nonempty")
+    if len(lasso.stem_edges) != len(stem) - 1 or len(lasso.loop_edges) != len(loop):
+        raise AssertionError("lasso edges must join its nodes")
+    if stem[0] not in g.initial:
+        raise AssertionError("stem must start at an initial node")
+    if stem[-1] != loop[0]:
+        raise AssertionError("stem must end at the loop head")
+    if not all(any(n in nodes for n in loop) for nodes in g.accepting):
+        raise AssertionError("loop must meet every acceptance set")
+    cycle = loop + loop[:1]
+    walk = list(zip(stem, stem[1:], lasso.stem_edges))
     walk += list(zip(cycle, cycle[1:], lasso.loop_edges))
     for src, dst, edge_index in walk:
-        assert (dst, edge_index) in g.successors(src), "lasso edge not in product"
+        if (dst, edge_index) not in g.successors(src):
+            raise AssertionError("lasso edge not in product")
 
 
 @dataclass

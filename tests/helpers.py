@@ -2,8 +2,10 @@
 
 The oracles here deliberately re-derive results by different means than the
 library: Tarjan's SCCs instead of the on-the-fly emptiness search, the
-tableau degeneralized by counters instead of merged into a generalized
-automaton, exhaustive lasso enumeration instead of the Büchi pipeline, dense
+tableau that expands a next set again for every node asking for it,
+degeneralized by counters instead of merged into a generalized automaton,
+every matching transition instead of the undominated Büchi moves,
+exhaustive lasso enumeration instead of the Büchi pipeline, dense
 sampling instead of Fourier-Motzkin, substitution into every row instead of
 an occurrence index.
 """
@@ -20,7 +22,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from hav.buchi import (
-    _INIT, BuchiAutomaton, BuchiTransition, _expand, _Node, _node_guard, _untils_in_order,
+    _INIT, BuchiAutomaton, BuchiTransition, _node_guard, _untils_in_order,
 )
 from hav.compose import product
 from hav.linsolve import EQ, LE, LT, LinearSystem, Solution
@@ -81,6 +83,24 @@ def random_formula(rng: random.Random, size: int, props) -> object:
     left = random_formula(rng, split, props)
     right = random_formula(rng, max(size - 1 - split, 1), props)
     return rng.choice(_BINARY)(left, right)
+
+
+def ltl_golden_inputs():
+    """The formulas whose LTL-layer values `test_golden` pins: 600 seeded
+    random ones, `G F p0 && … && G F p5`, and the negated m = 5 fairness
+    formula."""
+    rng = random.Random(20151)
+    for _ in range(600):
+        yield random_formula(rng, rng.randint(1, 12), ["p", "q", "r"])
+    conj = [Always(Eventually(Prop(f"p{i}"))) for i in range(6)]
+    fair = conj[0]
+    for g in conj[1:]:
+        fair = And(fair, g)
+    yield fair
+    assumptions = conj[0]
+    for g in conj[1:5]:
+        assumptions = And(assumptions, g)
+    yield Not(Implies(assumptions, Always(Eventually(Prop("q")))))
 
 
 def random_lasso(rng: random.Random, props, stem_max=4, loop_max=4) -> Lasso:
@@ -366,6 +386,102 @@ def reference_solve(system: LinearSystem) -> Optional[Solution]:
 
 # ------------------------------------------------ reference Büchi translation
 
+class _ReferenceNode:
+    __slots__ = ("nid", "incoming", "new", "old", "next")
+
+    def __init__(self, nid, incoming, new, old, nxt):
+        self.nid = nid
+        self.incoming = incoming
+        self.new = new
+        self.old = old
+        self.next = nxt
+
+
+def _reference_expand(root: _ReferenceNode, nodes: list[_ReferenceNode], counter) -> None:
+    """Expand `root` and every node it spawns, depth first; every kept node's
+    next set is expanded again, even when an earlier node already expanded it.
+
+    A split expands its new branch before the rest of the node, which waits
+    on an explicit stack instead of the call stack, so a deep tableau cannot
+    exhaust Python's recursion limit. A finished node whose `old` and `next`
+    match a kept node's merges into it; kept nodes are indexed by those two
+    sets, which never change once a node is kept. Pending formulas are
+    taken in the order of their text, rendered once per formula.
+    """
+    kept: dict[tuple[frozenset, frozenset], _ReferenceNode] = {}
+    texts: dict[LtlFormula, str] = {}
+
+    def text(f: LtlFormula) -> str:
+        got = texts.get(f)
+        if got is None:
+            got = texts[f] = str(f)
+        return got
+
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        while True:
+            if not node.new:
+                key = (frozenset(node.old), frozenset(node.next))
+                merged = kept.get(key)
+                if merged is not None:
+                    merged.incoming |= node.incoming
+                    break
+                kept[key] = node
+                nodes.append(node)
+                node = _ReferenceNode(next(counter), {node.nid}, set(node.next), set(), set())
+                continue
+            eta = min(node.new, key=text)
+            node.new.discard(eta)
+            if isinstance(eta, FalseConst):
+                break  # inconsistent branch
+            if isinstance(eta, TrueConst):
+                node.old.add(eta)  # recorded: Until acceptance asks whether ψ was processed
+                continue
+            if isinstance(eta, (Prop, Not)):
+                contradiction = Not(eta) if isinstance(eta, Prop) else eta.operand
+                if contradiction in node.old:
+                    break
+                node.old.add(eta)
+                continue
+            if isinstance(eta, And):
+                node.old.add(eta)
+                for part in (eta.left, eta.right):
+                    if part not in node.old:
+                        node.new.add(part)
+                continue
+            if isinstance(eta, Next):
+                node.old.add(eta)
+                node.next.add(eta.operand)
+                continue
+            # splitting connectives: Or, Until, Release
+            if isinstance(eta, Or):
+                new1, next1, new2 = {eta.left}, set(), {eta.right}
+            elif isinstance(eta, Until):
+                new1, next1, new2 = {eta.left}, {eta}, {eta.right}
+            else:
+                assert isinstance(eta, Release)
+                new1, next1, new2 = {eta.right}, {eta}, {eta.left, eta.right}
+            branch = _ReferenceNode(next(counter), set(node.incoming),
+                                    node.new | (new1 - node.old),
+                                    node.old | {eta}, node.next | next1)
+            # the branch shares no set with the node, so the node's own
+            # update can come first; it resumes once the branch is done
+            node.old.add(eta)
+            node.new |= new2 - node.old
+            pending.append(node)
+            node = branch
+
+
+def reference_tableau(core: LtlFormula) -> list[_ReferenceNode]:
+    """The kept tableau nodes of the NNF formula `core`, each next set
+    expanded once per node that asks for it."""
+    counter = itertools.count()
+    nodes: list[_ReferenceNode] = []
+    _reference_expand(_ReferenceNode(next(counter), {_INIT}, {core}, set(), set()), nodes, counter)
+    return nodes
+
+
 def _reference_core(f: LtlFormula, kids: list[LtlFormula]) -> LtlFormula:
     """Rewrite an NNF formula into the tableau core: F a = true U a, G a = false R a."""
     if isinstance(f, Eventually):
@@ -381,18 +497,15 @@ def reference_buchi(phi: LtlFormula) -> BuchiAutomaton:
     """Büchi automaton whose accepted words over 2^AP are the models of phi.
 
     The reference for `translate_to_buchi`: the tableau without F/G
-    collapsing and node merging, degeneralized by counters into one
-    acceptance set.
+    collapsing and node merging, which expands a next set again for every
+    node asking for it, degeneralized by counters into one acceptance set.
 
     May be exponential in the formula size. A fresh non-accepting initial
     state carries the first letter's constraints on its outgoing edges.
     """
     core = fold(to_nnf(phi), _reference_core)
     ap = propositions(core)
-    counter = itertools.count()
-    nodes: list[_Node] = []
-    root = _Node(next(counter), {_INIT}, {core}, set(), set())
-    _expand(root, nodes, counter)
+    nodes = reference_tableau(core)
 
     # one acceptance set per distinct Until, ordered by its first occurrence
     untils = list(dict.fromkeys(fold(core, _untils_in_order)))
@@ -446,10 +559,13 @@ def reference_buchi(phi: LtlFormula) -> BuchiAutomaton:
 
 def reference_accepts_lasso(automaton: BuchiAutomaton, sigma: Lasso) -> bool:
     """Acceptance of sigma: `scc_nonempty` on the product of the automaton
-    with the lasso positions."""
+    with the lasso positions, over every transition whose guard matches,
+    not over the pruned `BuchiAutomaton.moves`."""
     def successors(node):
         pos, q = node
-        return [((sigma.successor(pos), q2), None) for q2 in automaton.moves(q, sigma.letter(pos))]
+        letter = sigma.letter(pos)
+        return [((sigma.successor(pos), t.target), None) for t in automaton.transitions
+                if t.source == q and t.guard.matches(letter)]
 
     accepting = tuple({(pos, q) for pos in range(sigma.positions) for q in states}
                       for states in automaton.accepting)

@@ -43,6 +43,12 @@ class TestNnf:
         assert nnf_text.count(" U ") + nnf_text.count(" R ") == 1667
         assert propositions(phi) == {"p", "q"}
         assert is_nnf(nnf) and not is_nnf(phi)
+        # each node's hash is cached at construction, so hashing is flat;
+        # it depends on the structure, not on the objects
+        again = P
+        for i in range(5000):
+            again = layers[i % 3](again)
+        assert hash(again) == hash(phi) and phi in {phi} and nnf in {nnf: 0}
 
     def test_nnf_preserves_semantics(self):
         rng = random.Random(12)

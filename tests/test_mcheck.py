@@ -1,7 +1,12 @@
 """Model-checking pipeline: product, emptiness search, end-to-end verdicts."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +51,46 @@ class TestSynchronizedProduct:
         b = translate_to_buchi(Not(parse_ltl("G q || F (G p)")))
         g = synchronized_product(ts1(), b)
         assert nested_dfs_emptiness(g) is None
+
+
+def test_lasso_validation_runs_under_python_O():
+    # every corrupted lasso is rejected with an AssertionError, also when
+    # -O strips `assert` statements
+    script = textwrap.dedent("""
+        from dataclasses import replace
+        from hav.buchi import translate_to_buchi
+        from hav.kripke import make_kripke
+        from hav.linsolve import LinearSystem
+        from hav.mcheck import _validate_lasso, nested_dfs_emptiness, synchronized_product
+        from hav.textfmt import parse_ltl
+
+        assert False, "asserts must be stripped"
+        k = make_kripke(["m0", "m1"], ["m0"], [("m0", "a", "m1"), ("m1", "a", "m0")],
+                        {"m0": {"q"}, "m1": {"p"}})
+        g = synchronized_product(k, translate_to_buchi(parse_ltl("G F p")))
+        lasso = nested_dfs_emptiness(g)
+        for bad in (replace(lasso, loop_nodes=[], loop_edges=[]),
+                    replace(lasso, stem_nodes=[], stem_edges=[]),
+                    replace(lasso, loop_edges=lasso.loop_edges[:-1]),
+                    replace(lasso, loop_edges=[e + 100 for e in lasso.loop_edges]),
+                    replace(lasso, stem_nodes=lasso.stem_nodes[1:])):
+            try:
+                _validate_lasso(g, bad)
+                print("accepted")
+            except AssertionError as error:
+                print("rejected:", error)
+        LinearSystem.satisfied_by = lambda self, values: False
+        try:
+            LinearSystem(1).solve()
+            print("accepted")
+        except AssertionError as error:
+            print("rejected:", error)
+    """)
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert len(out) == 6 and all(line.startswith("rejected: ") for line in out), out
 
 
 def random_buchi_graph(rng: random.Random, max_states=10) -> ProductGraph:
@@ -148,6 +193,17 @@ class TestCheckTimed:
         # replay the witness through the simulator from scratch
         replay = simulate(login, [(s.delay, s.edge) for s in run.steps])
         assert replay.last.mode == "connect"
+
+    def test_login_fg_connect_counterexample_replays(self):
+        login = load_model("login").automata[0]
+        phi = parse_ltl("F G connect")
+        verdict = check_timed(login, phi)
+        cx = verdict.counterexample
+        assert not verdict.holds and not eval_lasso(phi, cx.trace)
+        assert [s.mode for s in cx.loop] == ["valid", "standby"]
+        run = cx.concrete
+        replay = simulate(login, [(s.delay, s.edge) for s in run.steps])
+        assert replay.last == run.last and total_time(replay) == Fraction(61)
 
     def test_login_standby_holds(self):
         login = load_model("login").automata[0]
