@@ -63,7 +63,8 @@ def coarsest_quotient(k: Structure) -> tuple[FiniteKripke, Partition]:
     display = {}
     for i, block in enumerate(partition.blocks):
         member_labels = {k.label(s) for s in block}
-        assert len(member_labels) == 1, "blocks must be label-homogeneous"
+        if len(member_labels) != 1:
+            raise AssertionError("blocks must be label-homogeneous")
         labels[i] = member_labels.pop()
         display[i] = "{" + ",".join(str(s) for s in sorted(block)) + "}"
     quotient = FiniteKripke(

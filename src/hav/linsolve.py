@@ -146,7 +146,8 @@ class LinearSystem:
             current = rest
 
         for coeffs, op, rhs in current:
-            assert not coeffs
+            if coeffs:
+                raise AssertionError("Fourier-Motzkin left a variable in a row")
             if op == LE and not rhs >= 0:
                 return None
             if op == LT and not rhs > 0:

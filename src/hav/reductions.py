@@ -331,7 +331,8 @@ def multirate_to_timed(a: HybridAutomaton) -> tuple[HybridAutomaton, ScaleCertif
         out = []
         for var, op, bound in atoms:
             scaled = bound * l_factor
-            assert scaled.denominator == 1
+            if scaled.denominator != 1:
+                raise AssertionError(f"{var} {op} {bound} does not scale to an integer")
             out.append(AtomicConstraint(var, op, int(scaled)))
         return Predicate(tuple(out))
 

@@ -195,7 +195,9 @@ class RegionGraph:
     `action(e)` walk the graph only until state s, or the state behind
     transition e, has been walked, so a search that stops early leaves the
     rest unbuilt. `states`, `state_info`, `edge_refs`, `deadlocks` and
-    `kripke` finish the walk.
+    `kripke` finish the walk. The walk keeps its region arithmetic per
+    region id, not per state: the truth of each invariant and guard, and the
+    landed region of each reset set, are computed once per region.
 
     Transitions are numbered when the walk reaches their source, and so is
     the stutter self-loop of a deadlock state: every accessor, `kripke`
@@ -250,22 +252,46 @@ class RegionGraph:
                 queue.append(got)
             return got
 
+        # every invariant and guard, equal ones shared, and every reset set
+        # gets a small id; truth[rid * len(preds) + pid] memoises whether
+        # region rid satisfies predicate pid, and landing[rid * len(resets)
+        # + reset id] the id of the region the reset lands in
+        preds: dict[Predicate, int] = {}
+        resets: dict[frozenset, int] = {}
+        inv = {m: preds.setdefault(a.invariant(m), len(preds)) for m in a.modes}
         edge_index = {t: i for i, t in enumerate(a.transitions)}
-        outgoing = {m: [(edge_index[t], t) for t in a.edges_from(m)] for m in a.modes}
+        outgoing = {m: [(edge_index[t], preds.setdefault(t.guard, len(preds)),
+                         resets.setdefault(t.jump.reset, len(resets)),
+                         t.target, inv[t.target]) for t in a.edges_from(m)]
+                    for m in a.modes}
+        pred_of, reset_of = list(preds), list(resets)
+        npreds, nresets = len(pred_of), len(reset_of)
+        truth: dict[int, bool] = {}
+        landing: dict[int, int] = {}
+
+        def holds(pid: int, rid: int) -> bool:
+            key = rid * npreds + pid
+            got = truth.get(key)
+            if got is None:
+                got = truth[key] = region_satisfies(regions[rid], pred_of[pid])
+            return got
 
         def fire(mode, rid: int) -> Optional[list[tuple[int, int]]]:
             """None if the region breaks the mode's invariant; else intern the
             landed state of each enabled edge, in order, and list them."""
-            region = regions[rid]
-            if not region_satisfies(region, a.invariant(mode)):
+            if not holds(inv[mode], rid):
                 return None
             out = []
-            for ei, edge in outgoing[mode]:
-                if not region_satisfies(region, edge.guard):
+            for ei, guard, reset, target, target_inv in outgoing[mode]:
+                if not holds(guard, rid):
                     continue
-                landed = reset_region(region, edge.jump.reset)
-                if region_satisfies(landed, a.invariant(edge.target)):
-                    out.append((ei, intern(edge.target, region_id(landed))))
+                key = rid * nresets + reset
+                dst = landing.get(key)
+                if dst is None:
+                    dst = landing[key] = region_id(
+                        reset_region(regions[rid], reset_of[reset]))
+                if holds(target_inv, dst):
+                    out.append((ei, intern(target, dst)))
             return out
 
         def step(state: int) -> int:
@@ -331,7 +357,7 @@ class RegionGraph:
         start = region_id(zero_region(a.variables, k))
         initial_states = []
         for m in sorted(a.initial_modes, key=lambda m: mode_order[m]):
-            if region_satisfies(regions[start], a.invariant(m)):
+            if holds(inv[m], start):
                 initial_states.append(intern(m, start))
         if not initial_states:
             raise WrongClass("no initial state satisfies its mode invariant")
@@ -445,13 +471,15 @@ def region_graph(a: HybridAutomaton, k: Optional[int] = None) -> RegionGraph:
     propositions, reached or not.
 
     Only the initial states are built here; the accessors of the result
-    walk the rest breadth first as they are asked. Successors and firing
-    lists are memoised per region. Each distinct region is built once (and
-    validated then, like every Region), gets a small id, and has its time
-    successor computed once per id. Each state, a (mode, region id) pair,
-    checks its invariant, guards, resets and target invariants once, the
-    first time a walk reaches it, and keeps the edges it fires and the next
-    state on its chain; later walks replay those lists. The first walk
+    walk the rest breadth first as they are asked. Each distinct region
+    gets a small id when first met (and is validated when built, like every
+    Region). Per region id the walk keeps its time successor, whether it
+    satisfies each invariant and guard (equal predicates shared), and the
+    region id each reset set lands it in; each is computed when first
+    needed, so modes that share a region share the work. Each state, a
+    (mode, region id) pair, fires its edges from those tables the first
+    time a walk reaches it, and keeps the edges it fires and the next state
+    on its chain; later walks replay those lists. The first walk
     interns in chain order (each landed state, then the chain region), so
     state ids and the order of transitions are those of walking every chain
     afresh, however far the walk has gone.

@@ -86,11 +86,70 @@ def test_lasso_validation_runs_under_python_O():
         except AssertionError as error:
             print("rejected:", error)
     """)
+    out = run_optimized(script)
+    assert len(out) == 6 and all(line.startswith("rejected: ") for line in out), out
+
+
+def test_internal_checks_run_under_python_O():
+    # a planted fault trips the label-homogeneity check of the quotient, the
+    # no-variable-left check after Fourier-Motzkin and the integer check of
+    # the scaling certificate, also when -O strips `assert` statements
+    script = textwrap.dedent("""
+        import hav.bisim, hav.linsolve, hav.reductions
+        from hav.kripke import make_kripke
+        from hav.linsolve import LinearSystem
+        from hav.model import (
+            AtomicConstraint, HybridAutomaton, JumpPredicate, Predicate, RateConst,
+            Transition,
+        )
+
+        assert False, "asserts must be stripped"
+
+        def attempt(run):
+            try:
+                run()
+                print("accepted")
+            except AssertionError as error:
+                print("rejected:", error)
+
+        # one block holding states with different labels
+        def one_block(states, label, successors):
+            return hav.bisim.Partition.from_blocks([list(states)])
+
+        hav.bisim._refine = one_block
+        k = make_kripke(["m0", "m1"], ["m0"], [("m0", "a", "m1"), ("m1", "a", "m0")],
+                        {"m0": {"q"}, "m1": {"p"}})
+        attempt(lambda: hav.bisim.coarsest_quotient(k))
+
+        # an elimination that eliminates no variable
+        system = LinearSystem(2)
+        system.add({0: 1, 1: 1}, "<=", 3)
+        system.add({0: 1}, ">", 1)
+        hav.linsolve.sorted = lambda *args, **kwargs: []
+        attempt(system.solve)
+
+        # a scaling factor that leaves x >= 3/2 fractional
+        hav.reductions.lcm = lambda *denominators: 1
+        a = HybridAutomaton(
+            name="m", modes=("m", "n"), initial_modes=frozenset({"m"}),
+            variables=frozenset({"x"}),
+            transitions=(Transition("m", Predicate.of(AtomicConstraint("x", ">=", 3)),
+                                    "go", JumpPredicate.of({"x": 0}), "n"),),
+            flows={"m": {"x": RateConst(2)}, "n": {"x": RateConst(2)}})
+        attempt(lambda: hav.reductions.multirate_to_timed(a))
+    """)
+    out = run_optimized(script)
+    assert out == ["rejected: blocks must be label-homogeneous",
+                   "rejected: Fourier-Motzkin left a variable in a row",
+                   "rejected: x >= 3/2 does not scale to an integer"], out
+
+
+def run_optimized(script: str) -> list[str]:
+    """The stdout lines of `script` run by `python -O` on hav from src/."""
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout.splitlines()
-    assert len(out) == 6 and all(line.startswith("rejected: ") for line in out), out
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                          text=True, check=True).stdout.splitlines()
 
 
 def random_buchi_graph(rng: random.Random, max_states=10) -> ProductGraph:

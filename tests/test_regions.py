@@ -11,6 +11,7 @@ from hav.model import (
     AtomicConstraint, HybridAutomaton, JumpPredicate, Predicate, Transition,
     Valuation, max_constant,
 )
+from hav import regions
 from hav.compose import product
 from hav.mcheck import check, check_timed
 from hav.regions import (
@@ -226,6 +227,42 @@ class TestRegionGraphMatchesReference:
 
     def test_jobshop_timed(self):
         self.assert_matches(product(load_model("jobshop_timed").network("all")))
+
+    def test_login_pair(self):
+        # many modes share each region, so the per-region memo is read often
+        rg = self.assert_matches(login_copies(["_a", "_b"], 4, 1))
+        assert len(rg.states) == 3060
+
+
+def test_walk_computes_each_region_result_once(monkeypatch):
+    # each (predicate, region) pair is decided once and each (region, reset
+    # set) pair reset once; a walk that redoes them per state makes 23,947
+    # predicate evaluations, 8,416 resets and 3,654 regions here
+    pair = login_copies(["_a", "_b"], 5, 1)
+    evaluated, reset, built = [], [], []
+    satisfies, reset_region, validate = (
+        regions.region_satisfies, regions.reset_region, Region.__post_init__)
+
+    def counted_satisfies(region, pred):
+        evaluated.append((pred, region))
+        return satisfies(region, pred)
+
+    def counted_reset(region, clocks):
+        reset.append((region, frozenset(clocks)))
+        return reset_region(region, clocks)
+
+    def counted_validate(region):
+        built.append(region)
+        validate(region)
+
+    monkeypatch.setattr(regions, "region_satisfies", counted_satisfies)
+    monkeypatch.setattr(regions, "reset_region", counted_reset)
+    monkeypatch.setattr(Region, "__post_init__", counted_validate)
+    rg = region_graph(pair)
+    assert len(rg.states) == 4550
+    assert len(evaluated) <= len(set(evaluated)) + 1
+    assert len(reset) <= len(set(reset))
+    assert len(built) <= 600
 
 
 class TestRegionGraphOnDemand:
